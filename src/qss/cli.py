@@ -170,7 +170,11 @@ def cmd_compress(args) -> int:
         raise SystemExit_with(EXIT_INPUT, "give exactly one of --budget / --ratio")
     budget = args.budget if args.budget is not None else 8.0 * image.size / args.ratio
     try:
-        spath = sparsification.probabilistic_sparsify(image, args.p, args.q, seed=args.seed)
+        # rd_optimize reads no mask sparser than its smallest grid density
+        spath = sparsification.probabilistic_sparsify(
+            image, args.p, args.q, seed=args.seed,
+            floor_density=min(compression.DEFAULT_DENSITIES),
+        )
         point, rec = compression.rd_optimize(
             image, spath, method, budget, candidate_limit=args.candidates
         )
@@ -178,16 +182,7 @@ def cmd_compress(args) -> int:
         raise SystemExit_with(EXIT_INFEASIBLE, str(exc))
     except InpaintingError as exc:
         raise SystemExit_with(EXIT_NUMERICAL, str(exc))
-    mask = spath.mask_at(point.l)
-    quantised = apply_path(
-        image,
-        mask,
-        compression.build_quant_path(image, mask, method, candidate_limit=args.candidates),
-        point.m,
-    )
-    cost = compression.coding_cost(
-        quantised.pixels[mask.indices], point.q_levels, method
-    )
+    cost = point.cost
     manifest = _format_manifest(
         [
             ("method", method),

@@ -18,7 +18,7 @@ from .image import DomainError, Image, Mask, level_partition, mse
 from .inpainting import InpaintSolver, round_to_grey
 from .quantisation import (
     QuantisationPath,
-    apply_path,
+    _quantised_known_values,
     sparsification_quant_path,
     uniform_path,
     ward_path,
@@ -57,9 +57,13 @@ class RateDistortionPoint:
     l: int
     m: int
     q_levels: int
-    total_bits: float
     mse: float
     compression_ratio: float
+    cost: CostModel
+
+    @property
+    def total_bits(self) -> float:
+        return self.cost.total_bits
 
 
 def coding_cost(known_values: np.ndarray, q_levels: int, method: str) -> CostModel:
@@ -110,15 +114,17 @@ def evaluate_grid(
     tolerance: float = 1e-9,
     candidate_limit: int | None = None,
     budget: float = math.inf,
+    on_reconstruction=None,
 ):
     """All rate-distortion points of one method over the (l, m) grid.
 
     Points over the bit budget are returned with mse = NaN (their
     reconstruction is never computed). Committed paths are rebuilt per l
-    since the known values change with the mask.
+    since the known values change with the mask. Reconstructions are not
+    kept: `on_reconstruction(point, image)`, if given, sees each one as it
+    is made.
     """
     points = []
-    recs = []
     for l in l_grid:
         mask = spars_path.mask_at(l)
         solver = InpaintSolver(mask, image.width, image.height)
@@ -126,24 +132,20 @@ def evaluate_grid(
         ms = range(len(path) + 1) if m_grid is None else [
             m for m in m_grid if 0 <= m <= len(path)
         ]
-        for m in ms:
-            quantised = apply_path(image, mask, path, m)
-            g = quantised.pixels[mask.indices]
-            cost = coding_cost(g, len(path.initial_values) - m, method)
+        for m, g in _quantised_known_values(image, mask, path, ms):
+            q_levels = len(path.initial_values) - m
+            cost = coding_cost(g, q_levels, method)
             ratio = 8.0 * image.size / cost.total_bits
+            rec, err = None, math.nan
             if cost.total_bits < budget:
                 u = solver.solve(g, tolerance)
                 rec = round_to_grey(u, image.width, image.height, image.grey_depth)
                 err = mse(image, rec)
-            else:
-                rec, err = None, math.nan
-            points.append(
-                RateDistortionPoint(
-                    l, m, len(path.initial_values) - m, cost.total_bits, err, ratio
-                )
-            )
-            recs.append(rec)
-    return points, recs
+            point = RateDistortionPoint(l, m, q_levels, err, ratio, cost)
+            points.append(point)
+            if rec is not None and on_reconstruction is not None:
+                on_reconstruction(point, rec)
+    return points
 
 
 def rd_optimize(
@@ -157,28 +159,29 @@ def rd_optimize(
 ):
     """Best (l, m) under the budget; ties go to larger l, then larger m.
 
-    Returns the winning point and its reconstruction.
+    Returns the winning point, whose `cost` is its coding cost, and its
+    reconstruction.
     """
     if l_grid is None:
         l_grid = default_l_grid(image.size)
     if not l_grid:
         raise ValueError("empty l grid")
-    points, recs = evaluate_grid(
-        image, spars_path, method, l_grid, None, tolerance, candidate_limit, budget
-    )
     best = None
     best_rec = None
-    minimal = math.inf
-    for point, rec in zip(points, recs):
-        minimal = min(minimal, point.total_bits)
-        if point.total_bits >= budget:
-            continue
+
+    def keep_best(point, rec):
+        nonlocal best, best_rec
         # grid is scanned in ascending (l, m); replacing on equality
         # implements the larger-l, larger-m tie preference
         if best is None or point.mse <= best.mse:
             best, best_rec = point, rec
+
+    points = evaluate_grid(
+        image, spars_path, method, l_grid, None, tolerance, candidate_limit, budget,
+        keep_best,
+    )
     if best is None:
-        raise InfeasibleBudgetError(minimal)
+        raise InfeasibleBudgetError(min(p.total_bits for p in points))
     return best, best_rec
 
 
@@ -215,7 +218,7 @@ def rd_curve(
         l_grid = default_l_grid(image.size)
     curves = {}
     for method in methods:
-        points, _ = evaluate_grid(image, spars_path, method, l_grid, m_grid, tolerance)
+        points = evaluate_grid(image, spars_path, method, l_grid, m_grid, tolerance)
         curves[method] = {
             "points": points,
             "envelope": rate_distortion_envelope(points, buckets_per_decade),

@@ -74,9 +74,14 @@ class QuantisationPath:
         return np.array(sorted(active), dtype=np.int64)
 
 
-def _value_map(steps, grey_depth: int) -> np.ndarray:
-    """Lookup table composing the given merge steps over [0, grey_depth)."""
-    lut = np.arange(grey_depth, dtype=np.int64)
+def _value_map(steps, grey_depth: int, lut: np.ndarray | None = None) -> np.ndarray:
+    """Lookup table composing the given merge steps over [0, grey_depth).
+
+    A given `lut` is continued in place, so a path can be replayed in
+    stages.
+    """
+    if lut is None:
+        lut = np.arange(grey_depth, dtype=np.int64)
     for step in steps:
         lut[(lut == step.source_low) | (lut == step.source_high)] = step.merged_value
     return lut
@@ -99,10 +104,31 @@ def apply_path(image: Image, mask: Mask | None, path: QuantisationPath, m: int) 
     """Image after the first m merge steps of the path."""
     if not 0 <= m <= len(path):
         raise PathError("scale %d out of [0, %d]" % (m, len(path)))
-    vals = image.pixels if mask is None else image.pixels[mask.indices]
-    if not np.all(np.isin(vals, np.array(path.initial_values))):
-        raise PathError("image contains values outside the path's initial values")
+    _check_initial_values(image.pixels if mask is None else image.pixels[mask.indices], path)
     return apply_steps(image, mask, path.steps[:m])
+
+
+def _check_initial_values(values: np.ndarray, path: QuantisationPath) -> None:
+    if not np.all(np.isin(values, np.array(path.initial_values))):
+        raise PathError("image contains values outside the path's initial values")
+
+
+def _quantised_known_values(image: Image, mask: Mask, path: QuantisationPath, ms):
+    """Yield (m, known data after the first m steps) for each m in `ms`.
+
+    Equals `apply_path(image, mask, path, m).pixels[mask.indices]`, but the
+    initial values are checked once and the steps are replayed into one
+    lookup table, so ascending scales cost one pass over the path.
+    """
+    values = image.pixels[mask.indices]
+    _check_initial_values(values, path)
+    lut, done = None, 0
+    for m in ms:
+        if m < done:
+            lut, done = None, 0
+        lut = _value_map(path.steps[done:m], image.grey_depth, lut)
+        done = m
+        yield m, lut[values]
 
 
 def _round_half_away(x: float) -> int:
@@ -198,8 +224,10 @@ def sparsification_quant_path(
     its inpainting against the full original image. Homogeneous diffusion
     is linear in the known data, so reconstructions are superpositions of
     per-level-set harmonic basis functions, solved once per cluster; a
-    candidate is then a rank-one update of the residual. With a full mask
-    this reduces to Ward clustering.
+    candidate is then a rank-one update of the residual. The merge loop
+    needs only the Gram matrix of the basis functions and their inner
+    products with the residual, so it costs O(levels^2) per step whatever
+    the image size. With a full mask this reduces to Ward clustering.
 
     `candidate_limit` restricts each step to the K pairs with the lowest
     Ward (known-data) error change; results are then approximate.
@@ -220,13 +248,14 @@ def sparsification_quant_path(
         indicator = np.zeros(len(mask))
         indicator[np.searchsorted(mask.indices, level_set)] = 1.0
         psi[k] = solver.solve(indicator, tolerance)
-    gram = np.einsum("ij,ij->i", psi, psi)
     res = image.pixels.astype(np.float64) - v @ psi
+    gram = psi @ psi.T
+    dots = psi @ res
+    del psi, res
 
     steps = []
     while v.size > 1:
-        dots = psi @ res
-        delta, reps, rep_low = _pair_deltas(v, n, dots, gram)
+        delta, reps, rep_low = _pair_deltas(v, n, dots, gram.diagonal())
         if candidate_limit is not None and candidate_limit < v.size * (v.size - 1) // 2:
             ward_delta, _, _ = _pair_deltas(v, n, s - n * v, n)
             q = v.size
@@ -237,13 +266,16 @@ def sparsification_quant_path(
         r = int(reps[i, j])
         steps.append(MergeStep(int(v[i]), int(v[j]), r))
         keep, drop = (i, j) if rep_low[i, j] else (j, i)
-        res -= float(r - v[drop]) * psi[drop]
-        gram[keep] += gram[drop] + 2.0 * (psi[drop] @ psi[keep])
-        psi[keep] += psi[drop]
+        # res -= (r - v_drop) psi_drop, then psi_keep += psi_drop
+        dots -= float(r - v[drop]) * gram[:, drop]
+        dots[keep] += dots[drop]
+        gram[keep, :] += gram[drop, :]
+        gram[:, keep] += gram[:, drop]
         n[keep] += n[drop]
         s[keep] += s[drop]
         live = np.arange(v.size) != drop
-        v, n, s, gram, psi = v[live], n[live], s[live], gram[live], psi[live]
+        v, n, s, dots = v[live], n[live], s[live], dots[live]
+        gram = gram[np.ix_(live, live)]
     return QuantisationPath(initial, tuple(steps))
 
 

@@ -44,6 +44,7 @@ def probabilistic_sparsify(
     target_density: float = 1.0,
     seed: int = 0,
     tolerance: float = 1e-9,
+    floor_density: float = 0.0,
 ) -> SparsificationPath:
     """Build a sparsification path by probabilistic candidate removal.
 
@@ -52,6 +53,13 @@ def probabilistic_sparsify(
     removes the rest (appended to the path, lowest error first). The mask
     is clamped at ceil(target_density * N) pixels once, then the same
     procedure continues down to a single pixel so the path covers all N.
+
+    `floor_density` in [0, target_density] stops the optimisation early:
+    the mask is clamped once more at ceil(floor_density * N) pixels, and
+    the pixels still known there are appended in ascending index order
+    without further rounds. Masks with at least that many pixels are the
+    same pixel sets as with the default 0.0, which optimises the order
+    down to a single pixel.
     """
     if not 0 < candidate_fraction <= 1:
         raise ValueError("candidate fraction must be in (0, 1]")
@@ -59,6 +67,8 @@ def probabilistic_sparsify(
         raise ValueError("keep fraction must be in [0, 1)")
     if not 0 < target_density <= 1:
         raise ValueError("target density must be in (0, 1]")
+    if not 0 <= floor_density <= target_density:
+        raise ValueError("floor density must be in [0, target density]")
 
     n = image.size
     rng = np.random.default_rng(seed)
@@ -66,7 +76,7 @@ def probabilistic_sparsify(
     known = np.arange(n)
     order: list[int] = []
 
-    targets = [math.ceil(target_density * n), 1]
+    targets = [math.ceil(target_density * n), max(math.ceil(floor_density * n), 1)]
     for target in targets:
         while known.size > target:
             c = min(math.ceil(candidate_fraction * known.size), known.size - 1)
@@ -82,7 +92,7 @@ def probabilistic_sparsify(
             removed = cand[np.lexsort((cand, err))][:n_remove]
             order.extend(int(i) for i in removed)
             known = np.setdiff1d(known, removed, assume_unique=True)
-    order.append(int(known[0]))
+    order.extend(int(i) for i in known)  # ascending: setdiff1d returns sorted
     return SparsificationPath(np.array(order), n)
 
 

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from qss import Image, load_pgm, read_pgm, save_pgm, uniform_path
+from qss import (
+    Image,
+    coding_cost,
+    load_pgm,
+    probabilistic_sparsify,
+    read_pgm,
+    save_pgm,
+    uniform_path,
+)
 from qss.cli import main
+from qss.compression import build_quant_path
 from qss.quantisation import apply_path, read_quant_path_file
 from qss.sparsification import read_path_file
 
@@ -155,6 +164,33 @@ def test_compress_unlimited_budget_reproduces_image(small_pgm, tmp_path):
     )
     assert float(entries["mse"]) == 0.0
     assert load_pgm(tmp_path / "m.pgm") == img
+
+
+@pytest.mark.parametrize("method", ["uniform", "ward", "spars"])
+def test_compress_manifest_cost_matches_winning_scales(tmp_path, method):
+    img = make_synthetic(16)
+    pgm_path = tmp_path / "in.pgm"
+    save_pgm(pgm_path, img)
+    manifest = tmp_path / "m.txt"
+    argv = [
+        "compress", str(pgm_path), "--method", method, "--ratio", "10",
+        "--seed", "3", "--out", str(manifest),
+    ]
+    assert main(argv) == 0
+    entries = dict(
+        line.split("=", 1) for line in manifest.read_text().strip().splitlines()
+    )
+    name = entries["method"]
+    mask = probabilistic_sparsify(img, seed=3).mask_at(int(entries["l"]))
+    path = build_quant_path(img, mask, name)
+    g = apply_path(img, mask, path, int(entries["m"])).pixels[mask.indices]
+    q_levels = len(path.initial_values) - int(entries["m"])
+    cost = coding_cost(g, q_levels, name)
+    assert int(entries["q_levels"]) == q_levels
+    assert int(entries["n_known"]) == cost.n_known
+    assert entries["entropy_bits_per_value"] == "%.10g" % cost.per_value_bits
+    assert entries["overhead_bits"] == "%.10g" % cost.overhead_bits
+    assert entries["total_bits"] == "%.10g" % cost.total_bits
 
 
 def test_compress_infeasible_budget(small_pgm, tmp_path):

@@ -96,7 +96,7 @@ class TestRdOptimize:
         budget = 150.0
         l_grid = [0, 16, 48]
         point, _ = rd_optimize(img, spath, "ward", budget, l_grid=l_grid)
-        points, _ = evaluate_grid(img, spath, "ward", l_grid, budget=budget)
+        points = evaluate_grid(img, spath, "ward", l_grid, budget=budget)
         feasible = [p for p in points if p.total_bits < budget]
         best_mse = min(p.mse for p in feasible)
         assert point.mse == best_mse
@@ -108,7 +108,7 @@ class TestRdOptimize:
 
 class TestEnvelope:
     def test_single_point(self):
-        points, _ = evaluate_grid(
+        points = evaluate_grid(
             Image(4, 4, np.arange(16)),
             probabilistic_sparsify(Image(4, 4, np.arange(16)), seed=0),
             "uniform",
@@ -120,7 +120,7 @@ class TestEnvelope:
 
     def test_envelope_monotone(self, small_setup):
         img, spath = small_setup
-        points, _ = evaluate_grid(img, spath, "uniform", [0, 32, 56])
+        points = evaluate_grid(img, spath, "uniform", [0, 32, 56])
         env = rate_distortion_envelope(points)
         mses = [m for _, _, m in env]
         assert all(b >= a for a, b in zip(mses, mses[1:]))

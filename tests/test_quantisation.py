@@ -4,6 +4,7 @@ import pytest
 from qss import (
     DomainError,
     Image,
+    InpaintSolver,
     Mask,
     MergeStep,
     PathError,
@@ -17,7 +18,14 @@ from qss import (
     uniform_path,
     ward_path,
 )
-from qss.quantisation import read_quant_path_file, write_quant_path_file
+from qss.quantisation import (
+    _argmin_pair,
+    _pair_deltas,
+    read_quant_path_file,
+    write_quant_path_file,
+)
+
+from conftest import make_synthetic
 
 
 def ward_oracle_steps(values, counts):
@@ -207,6 +215,44 @@ def spars_candidate_mses(original, current, mask, active_values):
     return out
 
 
+def spars_reference_path(image, mask, candidate_limit=None):
+    """Greedy inpainting-error merging that keeps every basis function and
+    recomputes their inner products with the residual at every step."""
+    part = level_partition(image, mask)
+    solver = InpaintSolver(mask, image.width, image.height)
+    v = part.values.astype(np.int64).copy()
+    n = part.counts.astype(np.float64)
+    s = v * n
+    psi = np.empty((v.size, image.size))
+    for k, level_set in enumerate(part.sets):
+        indicator = np.zeros(len(mask))
+        indicator[np.searchsorted(mask.indices, level_set)] = 1.0
+        psi[k] = solver.solve(indicator)
+    gram = np.einsum("ij,ij->i", psi, psi)
+    res = image.pixels.astype(np.float64) - v @ psi
+    steps = []
+    while v.size > 1:
+        delta, reps, rep_low = _pair_deltas(v, n, psi @ res, gram)
+        if candidate_limit is not None and candidate_limit < v.size * (v.size - 1) // 2:
+            ward_delta, _, _ = _pair_deltas(v, n, s - n * v, n)
+            upper = np.where(np.triu(np.ones((v.size, v.size), dtype=bool), 1),
+                             ward_delta, np.inf)
+            cutoff = np.sort(upper, axis=None)[candidate_limit - 1]
+            delta = np.where(upper <= cutoff, delta, np.inf)
+        i, j = _argmin_pair(delta)
+        r = int(reps[i, j])
+        steps.append(MergeStep(int(v[i]), int(v[j]), r))
+        keep, drop = (i, j) if rep_low[i, j] else (j, i)
+        res -= float(r - v[drop]) * psi[drop]
+        gram[keep] += gram[drop] + 2.0 * (psi[drop] @ psi[keep])
+        psi[keep] += psi[drop]
+        n[keep] += n[drop]
+        s[keep] += s[drop]
+        live = np.arange(v.size) != drop
+        v, n, s, gram, psi = v[live], n[live], s[live], gram[live], psi[live]
+    return QuantisationPath(tuple(part.values), tuple(steps))
+
+
 class TestSparsificationQuantPath:
     def test_full_mask_equals_ward(self):
         rng = np.random.default_rng(11)
@@ -252,6 +298,16 @@ class TestSparsificationQuantPath:
                 from qss import apply_steps
 
                 current = apply_steps(current, mask, [step])
+
+    @pytest.mark.parametrize("density", [0.04, 0.16, 0.64])
+    @pytest.mark.parametrize("candidate_limit", [None, 5])
+    def test_matches_residual_recomputing_reference(self, density, candidate_limit):
+        img = make_synthetic(48)
+        rng = np.random.default_rng(int(100 * density))
+        mask = Mask(rng.choice(img.size, size=round(density * img.size), replace=False),
+                    img.size)
+        expected = spars_reference_path(img, mask, candidate_limit)
+        assert sparsification_quant_path(img, mask, candidate_limit=candidate_limit) == expected
 
     def test_candidate_limit_still_full_valid_path(self):
         rng = np.random.default_rng(13)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,27 @@ def test_invalid_fractions():
         probabilistic_sparsify(img, keep_fraction=1.0)
     with pytest.raises(ValueError):
         probabilistic_sparsify(img, target_density=0.0)
+
+
+@pytest.mark.parametrize("floor", [-0.01, 0.6])
+def test_floor_density_bounds(floor):
+    with pytest.raises(ValueError):
+        probabilistic_sparsify(small_image(), target_density=0.5, floor_density=floor)
+
+
+@pytest.mark.parametrize(
+    "seed, side, target, floor",
+    [(0, 6, 1.0, 0.1), (1, 8, 1.0, 0.25), (2, 12, 0.5, 0.05), (3, 20, 1.0, 0.01),
+     (4, 7, 0.5, 0.5), (5, 9, 1.0, 1.0)],
+)
+def test_floor_stopped_path_keeps_masks_down_to_floor(seed, side, target, floor):
+    img = small_image(seed, side, side)
+    full = probabilistic_sparsify(img, 0.1, 0.1, target, seed=seed)
+    stopped = probabilistic_sparsify(img, 0.1, 0.1, target, seed=seed, floor_density=floor)
+    last = img.size - math.ceil(floor * img.size)
+    for l in range(last + 1):
+        assert np.array_equal(stopped.mask_at(l).indices, full.mask_at(l).indices), l
+    assert np.all(np.diff(stopped.removal_order[last:]) > 0)
 
 
 def test_path_is_permutation_and_nested():
