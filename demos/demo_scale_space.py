@@ -32,21 +32,22 @@ def make_image(side=24, seed=3):
 def main():
     img = make_image()
     path = ward_path(level_partition(img))
-    sequence = generate(img, None, path)
     print("image: %dx%d, %d occurring grey levels, %d merge steps"
           % (img.width, img.height, len(path.initial_values), len(path)))
 
+    # generate yields one image at a time; nothing holds the whole family
     print("\n  step  levels  entropy  contrast")
-    stride = max(1, len(sequence) // 12)
-    for m in list(range(0, len(sequence), stride)) + [len(sequence) - 1]:
-        f = sequence[m]
-        part = level_partition(f)
-        print("  %4d  %6d  %7.4f  %8d"
-              % (m, len(part.sets), entropy(part), total_contrast(f)))
+    stride = max(1, (len(path) + 1) // 12)
+    for m, f in enumerate(generate(img, None, path)):
+        if m % stride == 0 or m == len(path):
+            part = level_partition(f)
+            print("  %4d  %6d  %7.4f  %8d"
+                  % (m, part.values.size, entropy(part), total_contrast(f)))
 
-    report = verify_lyapunov_entropy(sequence)
+    report = verify_lyapunov_entropy(generate(img, None, path))
     print("\nentropy is a Lyapunov sequence: %s" % report.passed)
-    print("max-min bounds hold at every step: %s" % verify_maxmin(sequence).passed)
+    bounds = verify_maxmin(generate(img, None, path))
+    print("max-min bounds hold at every step: %s" % bounds.passed)
 
     # applying m steps then n more equals applying m+n at once
     mid = len(path) // 2

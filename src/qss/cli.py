@@ -11,15 +11,13 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import compression, pgm, scale_space, sparsification
-from .image import DomainError, Image, Mask
+from .image import Image, Mask
 from .inpainting import InpaintingError
-from .quantisation import PathError, apply_path, write_quant_path_file
-from .sparsification import SparsificationPath
+from .quantisation import apply_path, write_quant_path_file
 
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
@@ -28,67 +26,59 @@ EXIT_INFEASIBLE = 4
 _METHOD_ALIASES = {"spars": "sparsification"}
 
 
-def _atomic_write_text(path, text: str) -> None:
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+class CliError(Exception):
+    """A command failure with its exit code; `main` reports the message."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _load_image(path) -> Image:
     try:
         return pgm.load_pgm(path)
     except OSError as exc:
-        raise SystemExit_with(EXIT_INPUT, "cannot read %s: %s" % (path, exc))
+        raise CliError(EXIT_INPUT, "cannot read %s: %s" % (path, exc))
     except pgm.PgmError as exc:
-        raise SystemExit_with(EXIT_INPUT, "invalid PGM %s: %s" % (path, exc))
+        raise CliError(EXIT_INPUT, "invalid PGM %s: %s" % (path, exc))
 
 
-class SystemExit_with(SystemExit):
-    def __init__(self, code, message):
-        print("error: %s" % message, file=sys.stderr)
-        super().__init__(code)
-
-
-def _parse_mask_arg(arg: str, image: Image) -> tuple[SparsificationPath, Mask, int]:
-    """Parse 'pathfile@density' into (path, mask, scale)."""
+def _parse_mask_arg(arg: str, image: Image) -> Mask:
+    """Parse 'pathfile@density' into the mask of that density."""
     if "@" not in arg:
-        raise SystemExit_with(EXIT_INPUT, "mask must be given as pathfile@density")
+        raise CliError(EXIT_INPUT, "mask must be given as pathfile@density")
     file_part, density_part = arg.rsplit("@", 1)
     try:
         density = float(density_part)
     except ValueError:
-        raise SystemExit_with(EXIT_INPUT, "bad mask density %r" % density_part)
+        raise CliError(EXIT_INPUT, "bad mask density %r" % density_part)
     if not 0 < density <= 1:
-        raise SystemExit_with(EXIT_INPUT, "mask density must be in (0, 1]")
+        raise CliError(EXIT_INPUT, "mask density must be in (0, 1]")
     try:
         with open(file_part) as fh:
             path = sparsification.read_path_file(fh.read())
     except (OSError, ValueError) as exc:
-        raise SystemExit_with(EXIT_INPUT, "cannot load mask path: %s" % exc)
+        raise CliError(EXIT_INPUT, "cannot load mask path: %s" % exc)
     if path.image_size != image.size:
-        raise SystemExit_with(EXIT_INPUT, "mask path size does not match image")
-    scale = image.size - math.ceil(density * image.size)
-    return path, path.mask_at(scale), scale
+        raise CliError(EXIT_INPUT, "mask path size does not match image")
+    return path.mask_at(image.size - math.ceil(density * image.size))
+
+
+def _resolve_method_and_mask(args, image: Image):
+    """(method, mask or None, mask the quantisation path is built on)."""
+    method = _METHOD_ALIASES.get(args.method, args.method)
+    mask = _parse_mask_arg(args.mask, image) if args.mask else None
+    if method == "sparsification" and mask is None:
+        raise CliError(EXIT_INPUT, "the sparsification method needs --mask")
+    return method, mask, mask if mask is not None else Mask.full(image.size)
 
 
 def cmd_sparsify(args) -> int:
     image = _load_image(args.input)
-    try:
-        path = sparsification.probabilistic_sparsify(
-            image, args.p, args.q, args.density, args.seed
-        )
-    except InpaintingError as exc:
-        raise SystemExit_with(EXIT_NUMERICAL, str(exc))
-    except ValueError as exc:
-        raise SystemExit_with(EXIT_INPUT, str(exc))
-    _atomic_write_text(args.out, sparsification.write_path_file(path))
+    path = sparsification.probabilistic_sparsify(
+        image, args.p, args.q, args.density, args.seed
+    )
+    pgm.write_atomic(args.out, sparsification.write_path_file(path).encode())
     if args.preview:
         target = image.size - math.ceil(args.density * image.size)
         mask = path.mask_at(target)
@@ -98,58 +88,35 @@ def cmd_sparsify(args) -> int:
     return 0
 
 
-def _resolve_mask(args, image):
-    if args.mask:
-        spath, mask, scale = _parse_mask_arg(args.mask, image)
-    else:
-        spath, mask, scale = None, None, 0
-    return spath, mask, scale
-
-
 def cmd_quantise(args) -> int:
     image = _load_image(args.input)
-    method = _METHOD_ALIASES.get(args.method, args.method)
-    _, mask, _ = _resolve_mask(args, image)
-    if method == "sparsification" and mask is None:
-        raise SystemExit_with(EXIT_INPUT, "the sparsification method needs --mask")
-    build_mask = mask if mask is not None else Mask.full(image.size)
-    try:
-        path = compression.build_quant_path(
-            image, build_mask, method, candidate_limit=args.candidates
-        )
-    except InpaintingError as exc:
-        raise SystemExit_with(EXIT_NUMERICAL, str(exc))
+    method, mask, build_mask = _resolve_method_and_mask(args, image)
+    path = compression.build_quant_path(
+        image, build_mask, method, candidate_limit=args.candidates
+    )
     available = len(path.initial_values)
     if not 1 <= args.levels <= available:
-        raise SystemExit_with(
-            EXIT_INPUT, "levels %d not in [1, %d]" % (args.levels, available)
-        )
+        raise CliError(EXIT_INPUT, "levels %d not in [1, %d]" % (args.levels, available))
     quantised = apply_path(image, mask, path, available - args.levels)
     pgm.save_pgm(args.out + ".pgm", quantised)
-    _atomic_write_text(args.out + ".qpath", write_quant_path_file(path))
+    pgm.write_atomic(args.out + ".qpath", write_quant_path_file(path).encode())
     return 0
 
 
 def cmd_scalespace(args) -> int:
     image = _load_image(args.input)
-    method = _METHOD_ALIASES.get(args.method, args.method)
-    _, mask, _ = _resolve_mask(args, image)
-    if method == "sparsification" and mask is None:
-        raise SystemExit_with(EXIT_INPUT, "the sparsification method needs --mask")
-    build_mask = mask if mask is not None else Mask.full(image.size)
-    try:
-        path = compression.build_quant_path(image, build_mask, method)
-        sequence = scale_space.generate(image, mask, path)
-    except InpaintingError as exc:
-        raise SystemExit_with(EXIT_NUMERICAL, str(exc))
-    _atomic_write_text(args.report, scale_space.report_csv(sequence, mask, image))
-    lyap = scale_space.verify_lyapunov_entropy(sequence, mask)
+    method, mask, build_mask = _resolve_method_and_mask(args, image)
+    path = compression.build_quant_path(image, build_mask, method)
+    text, lyap = scale_space.report_csv(
+        scale_space.generate(image, mask, path), mask, image
+    )
+    pgm.write_atomic(args.report, text.encode())
     print(
         "scalespace %s: %d steps, entropy %s"
         % (method, len(path), "ok" if lyap.passed else "VIOLATED")
     )
     if not lyap.passed:
-        raise SystemExit_with(EXIT_NUMERICAL, "entropy Lyapunov check failed")
+        raise CliError(EXIT_NUMERICAL, "entropy Lyapunov check failed")
     return 0
 
 
@@ -167,21 +134,20 @@ def cmd_compress(args) -> int:
     image = _load_image(args.input)
     method = _METHOD_ALIASES.get(args.method, args.method)
     if (args.budget is None) == (args.ratio is None):
-        raise SystemExit_with(EXIT_INPUT, "give exactly one of --budget / --ratio")
+        raise CliError(EXIT_INPUT, "give exactly one of --budget / --ratio")
+    if args.ratio is not None and not 0 < args.ratio < math.inf:
+        raise CliError(EXIT_INPUT, "ratio must be positive and finite")
+    if args.candidates is not None and args.candidates < 1:
+        raise CliError(EXIT_INPUT, "candidates must be >= 1")
     budget = args.budget if args.budget is not None else 8.0 * image.size / args.ratio
-    try:
-        # rd_optimize reads no mask sparser than its smallest grid density
-        spath = sparsification.probabilistic_sparsify(
-            image, args.p, args.q, seed=args.seed,
-            floor_density=min(compression.DEFAULT_DENSITIES),
-        )
-        point, rec = compression.rd_optimize(
-            image, spath, method, budget, candidate_limit=args.candidates
-        )
-    except compression.InfeasibleBudgetError as exc:
-        raise SystemExit_with(EXIT_INFEASIBLE, str(exc))
-    except InpaintingError as exc:
-        raise SystemExit_with(EXIT_NUMERICAL, str(exc))
+    # rd_optimize reads no mask sparser than its smallest grid density
+    spath = sparsification.probabilistic_sparsify(
+        image, args.p, args.q, seed=args.seed,
+        floor_density=min(compression.DEFAULT_DENSITIES),
+    )
+    point, rec = compression.rd_optimize(
+        image, spath, method, budget, candidate_limit=args.candidates
+    )
     cost = point.cost
     manifest = _format_manifest(
         [
@@ -202,7 +168,7 @@ def cmd_compress(args) -> int:
             ("mse", point.mse),
         ]
     )
-    _atomic_write_text(args.out, manifest)
+    pgm.write_atomic(args.out, manifest.encode())
     out_image = args.out_image or (os.path.splitext(args.out)[0] + ".pgm")
     pgm.save_pgm(out_image, rec)
     print("compress %s: l=%d m=%d ratio=%.2f mse=%.3f"
@@ -261,14 +227,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit_with as exc:
-        return exc.code
-    except (DomainError, PathError, ValueError) as exc:
+    except (CliError, ValueError, InpaintingError) as exc:
+        if isinstance(exc, CliError):
+            code = exc.code
+        elif isinstance(exc, compression.InfeasibleBudgetError):
+            code = EXIT_INFEASIBLE
+        elif isinstance(exc, InpaintingError):
+            code = EXIT_NUMERICAL
+        else:  # DomainError, PathError, PgmError and other ValueErrors
+            code = EXIT_INPUT
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except InpaintingError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERICAL
+        return code
 
 
 if __name__ == "__main__":

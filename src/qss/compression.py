@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import DomainError, Image, Mask, level_partition, mse
+from .image import (
+    DomainError, Image, LevelPartition, Mask, entropy, level_partition, mse,
+)
 from .inpainting import InpaintSolver, round_to_grey
 from .quantisation import (
     QuantisationPath,
@@ -75,9 +77,7 @@ def coding_cost(known_values: np.ndarray, q_levels: int, method: str) -> CostMod
     values = np.asarray(known_values).ravel()
     if values.size == 0:
         raise DomainError("empty known data")
-    _, counts = np.unique(values, return_counts=True)
-    p = counts / values.size
-    per_value = float(-np.sum(p * np.log2(p)))
+    per_value = entropy(LevelPartition(*np.unique(values, return_counts=True)))
     overhead = 8.0 if method == "uniform" else 8.0 * q_levels
     return CostModel(method, per_value, int(values.size), overhead)
 

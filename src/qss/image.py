@@ -1,4 +1,4 @@
-"""Core image type, level-set machinery and histogram metrics.
+"""Core image type, level histograms and histogram metrics.
 
 Images are rectangular grids of integer grey values stored row-major.
 All metrics (entropy, contrast, MSE) are computed in double precision;
@@ -112,37 +112,37 @@ class Mask:
 
 @dataclass(frozen=True)
 class LevelPartition:
-    """Occurring grey values with their (globally indexed) level sets."""
+    """Histogram of a pixel domain: occurring grey values and their counts."""
 
     values: np.ndarray  # strictly increasing
-    sets: tuple  # one sorted index array per value
-    domain_size: int
+    counts: np.ndarray  # pixels per value, all positive
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.int64)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "sets", tuple(self.sets))
+        for name in ("values", "counts"):
+            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if self.values.shape != self.counts.shape:
+            raise ValueError("values and counts differ in length")
 
     @property
-    def counts(self) -> np.ndarray:
-        return np.array([s.size for s in self.sets], dtype=np.int64)
+    def domain_size(self) -> int:
+        return int(self.counts.sum())
 
 
 def level_partition(image: Image, mask: Mask | None = None) -> LevelPartition:
-    """Group the (masked) pixel indices by grey value."""
+    """Histogram of the (masked) pixels, in one pass over the domain."""
     if mask is None:
-        idx = np.arange(image.size)
+        vals = image.pixels
     else:
         if mask.image_size != image.size:
             raise DomainError("mask size does not match image")
         if len(mask) == 0:
             raise DomainError("empty domain")
-        idx = mask.indices
-    vals = image.pixels[idx]
-    values = np.unique(vals)
-    sets = tuple(idx[vals == v] for v in values)
-    return LevelPartition(values, sets, idx.size)
+        vals = image.pixels[mask.indices]
+    counts = np.bincount(vals)
+    values = np.flatnonzero(counts)
+    return LevelPartition(values, counts[values])
 
 
 def entropy(partition: LevelPartition) -> float:

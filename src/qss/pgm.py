@@ -94,16 +94,21 @@ def load_pgm(path) -> Image:
         return read_pgm(fh.read())
 
 
-def save_pgm(path, image: Image) -> None:
-    """Write atomically (temp file + rename)."""
+def write_atomic(path, data: bytes) -> None:
+    """Write a file atomically (temp file + rename)."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(write_pgm(image))
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_pgm(path, image: Image) -> None:
+    """Write atomically as binary P5."""
+    write_atomic(path, write_pgm(image))

@@ -192,7 +192,7 @@ def ward_path(partition: LevelPartition) -> QuantisationPath:
     All value pairs are considered; the representative is the member
     cluster with the largest occurrence count.
     """
-    if len(partition.sets) == 0:
+    if partition.values.size == 0:
         raise DomainError("empty partition")
     v = partition.values.astype(np.int64).copy()
     n = partition.counts.astype(np.float64)
@@ -234,6 +234,8 @@ def sparsification_quant_path(
     """
     if len(mask) == 0:
         raise DomainError("empty mask")
+    if candidate_limit is not None and candidate_limit < 1:
+        raise ValueError("candidate limit must be >= 1")
     part = level_partition(image, mask)
     initial = tuple(part.values)
     if len(initial) == 1:
@@ -243,11 +245,10 @@ def sparsification_quant_path(
     v = part.values.astype(np.int64).copy()
     n = part.counts.astype(np.float64)
     s = v * n
+    known = image.pixels[mask.indices]
     psi = np.empty((v.size, image.size), dtype=np.float64)
-    for k, level_set in enumerate(part.sets):
-        indicator = np.zeros(len(mask))
-        indicator[np.searchsorted(mask.indices, level_set)] = 1.0
-        psi[k] = solver.solve(indicator, tolerance)
+    for k, value in enumerate(v):
+        psi[k] = solver.solve((known == value).astype(np.float64), tolerance)
     res = image.pixels.astype(np.float64) - v @ psi
     gram = psi @ psi.T
     dots = psi @ res

@@ -1,27 +1,33 @@
-"""Materialised quantisation scale-spaces and executable property checks.
+"""Quantisation scale-spaces as image streams, and executable property checks.
 
-Verifiers return structured per-step reports rather than booleans so the
-same numbers can be dumped as CSV.
+`generate` yields the images one at a time. The checks read each image's
+histogram once (level count, entropy, lowest and highest value), so every
+verifier and `report_csv` consumes its input in a single pass and never
+holds the whole family. Verifiers return structured per-step reports
+rather than booleans so the same numbers can be dumped as CSV.
 """
 
 from __future__ import annotations
 
-import io
 import csv
+import io
 from dataclasses import dataclass, field
 
-from .image import Image, Mask, entropy, level_partition, total_contrast
+import numpy as np
+
+from .image import Image, Mask, entropy, level_partition
 from .quantisation import QuantisationPath, apply_path, apply_steps
 
 ENTROPY_TOL = 1e-12
 
 
-def generate(image: Image, mask: Mask | None, path: QuantisationPath) -> list:
-    """The family f^0 ... f^L of quantised images along the path."""
-    images = [apply_path(image, mask, path, 0)]
-    for m in range(1, len(path) + 1):
-        images.append(apply_steps(images[-1], mask, path.steps[m - 1 : m]))
-    return images
+def generate(image: Image, mask: Mask | None, path: QuantisationPath):
+    """Yield the family f^0 ... f^L of quantised images along the path."""
+    current = apply_path(image, mask, path, 0)
+    yield current
+    for step in path.steps:
+        current = apply_steps(current, mask, (step,))
+        yield current
 
 
 @dataclass
@@ -36,28 +42,6 @@ class LyapunovReport:
         return not self.violations and not self.strict_violations
 
 
-def verify_lyapunov_entropy(sequence, mask: Mask | None = None) -> LyapunovReport:
-    """Check that entropy never increases and strictly drops on real merges.
-
-    A merge of two non-empty level sets is visible as a drop in the number
-    of occurring values; there the decrease must be strict. Steps touching
-    an empty level set leave the histogram (and entropy) unchanged.
-    """
-    report = LyapunovReport()
-    for img in sequence:
-        part = level_partition(img, mask)
-        report.entropies.append(entropy(part))
-        report.active_levels.append(len(part.sets))
-    for m in range(len(sequence) - 1):
-        h0, h1 = report.entropies[m], report.entropies[m + 1]
-        if h1 > h0 + ENTROPY_TOL:
-            report.violations.append(m)
-        both_nonempty = report.active_levels[m + 1] < report.active_levels[m]
-        if both_nonempty and not h1 <= h0 - ENTROPY_TOL:
-            report.strict_violations.append(m)
-    return report
-
-
 @dataclass
 class BoundReport:
     values: list = field(default_factory=list)
@@ -68,30 +52,57 @@ class BoundReport:
         return not self.violations
 
 
-def verify_maxmin(sequence, mask: Mask | None = None) -> BoundReport:
-    """All scales stay within [min f^0, max f^0]."""
-    report = BoundReport()
-    first = sequence[0].pixels if mask is None else sequence[0].pixels[mask.indices]
-    lo, hi = int(first.min()), int(first.max())
+def _check(sequence, mask: Mask | None, on_image=None):
+    """Judge every rule along the sequence in one pass.
+
+    Each image is partitioned once; the rules read only its histogram.
+    Entropy never increases, and drops strictly on a real merge: a merge
+    of two non-empty level sets shows as a drop in the number of occurring
+    values, while steps touching an empty level set leave the histogram
+    unchanged. Total contrast never increases. Every image stays within
+    [min f^0, max f^0]. `on_image(image)`, if given, sees each image as it
+    passes. An empty sequence raises ValueError.
+    """
+    lyap, contrast, bounds = LyapunovReport(), BoundReport(), BoundReport()
     for m, img in enumerate(sequence):
-        vals = img.pixels if mask is None else img.pixels[mask.indices]
-        report.values.append((int(vals.min()), int(vals.max())))
-        if vals.min() < lo or vals.max() > hi:
-            report.violations.append(m)
-    return report
+        part = level_partition(img, mask)
+        h, levels = entropy(part), part.values.size
+        lo, hi = int(part.values[0]), int(part.values[-1])
+        if m > 0:
+            h0 = lyap.entropies[-1]
+            if h > h0 + ENTROPY_TOL:
+                lyap.violations.append(m - 1)
+            if levels < lyap.active_levels[-1] and not h <= h0 - ENTROPY_TOL:
+                lyap.strict_violations.append(m - 1)
+            if hi - lo > contrast.values[-1]:
+                contrast.violations.append(m - 1)
+            first_lo, first_hi = bounds.values[0]
+            if lo < first_lo or hi > first_hi:
+                bounds.violations.append(m)
+        lyap.entropies.append(h)
+        lyap.active_levels.append(levels)
+        contrast.values.append(hi - lo)
+        bounds.values.append((lo, hi))
+        if on_image is not None:
+            on_image(img)
+    if not lyap.entropies:
+        raise ValueError("empty scale-space sequence")
+    return lyap, contrast, bounds
+
+
+def verify_lyapunov_entropy(sequence, mask: Mask | None = None) -> LyapunovReport:
+    """Check that entropy never increases and strictly drops on real merges."""
+    return _check(sequence, mask)[0]
 
 
 def verify_contrast_lyapunov(sequence, mask: Mask | None = None) -> BoundReport:
     """Total contrast is non-increasing along the sequence."""
-    report = BoundReport()
-    prev = None
-    for m, img in enumerate(sequence):
-        contrast = total_contrast(img, mask)
-        report.values.append(contrast)
-        if prev is not None and contrast > prev:
-            report.violations.append(m - 1)
-        prev = contrast
-    return report
+    return _check(sequence, mask)[1]
+
+
+def verify_maxmin(sequence, mask: Mask | None = None) -> BoundReport:
+    """All scales stay within [min f^0, max f^0]."""
+    return _check(sequence, mask)[2]
 
 
 def verify_semigroup(
@@ -104,45 +115,47 @@ def verify_semigroup(
     return direct == staged
 
 
-def report_csv(sequence, mask: Mask | None = None, original: Image | None = None) -> str:
+def report_csv(sequence, mask: Mask | None = None, original: Image | None = None):
     """Per-step CSV: step, active_levels, entropy_bits, contrast, mse, pass flags.
 
-    MSE is taken against the original over the considered domain (the mask
-    when one is supplied, the whole image otherwise).
+    MSE is taken against the original (f^0 when none is given) over the
+    considered domain (the mask when one is supplied, the whole image
+    otherwise). Returns the CSV text and the entropy report, both from
+    one pass over the sequence.
     """
-    import numpy as np
 
-    ref = original if original is not None else sequence[0]
-    if mask is None:
-        ref_vals = ref.pixels.astype(float)
-    else:
-        ref_vals = ref.pixels[mask.indices].astype(float)
+    def domain(img):
+        return img.pixels if mask is None else img.pixels[mask.indices]
 
-    def _domain_mse(img):
-        vals = img.pixels if mask is None else img.pixels[mask.indices]
+    ref_vals = None if original is None else domain(original).astype(float)
+    mses = []
+
+    def add_mse(img):
+        nonlocal ref_vals
+        vals = domain(img)
+        if ref_vals is None:
+            ref_vals = vals.astype(float)
         d = vals - ref_vals
-        return float(np.mean(d * d))
+        mses.append(float(np.mean(d * d)))
 
-    lyap = verify_lyapunov_entropy(sequence, mask)
-    contrast = verify_contrast_lyapunov(sequence, mask)
-    bounds = verify_maxmin(sequence, mask)
+    lyap, contrast, bounds = _check(sequence, mask, add_mse)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["step", "active_levels", "entropy_bits", "contrast", "mse",
          "entropy_ok", "contrast_ok", "maxmin_ok"]
     )
-    for m, img in enumerate(sequence):
+    for m, err in enumerate(mses):
         writer.writerow(
             [
                 m,
                 lyap.active_levels[m],
                 "%.12g" % lyap.entropies[m],
                 contrast.values[m],
-                "%.12g" % _domain_mse(img),
+                "%.12g" % err,
                 int(m - 1 not in lyap.violations and m - 1 not in lyap.strict_violations),
                 int(m - 1 not in contrast.violations),
                 int(m not in bounds.violations),
             ]
         )
-    return buf.getvalue()
+    return buf.getvalue(), lyap

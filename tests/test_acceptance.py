@@ -48,7 +48,7 @@ def corpus():
         per_method["sparsification"] = (mask, sparsification_quant_path(img, mask))
         entry = {"image": img, "methods": {}}
         for method, (mask, path) in per_method.items():
-            entry["methods"][method] = (mask, path, generate(img, mask, path))
+            entry["methods"][method] = (mask, path, list(generate(img, mask, path)))
         items.append(entry)
     return items
 
@@ -147,7 +147,7 @@ def test_criterion_5_full_mask_equals_ward():
 def test_criterion_6_quantisation_error_ordering(synthetic_image):
     start = time.time()
     img = synthetic_image
-    levels = len(level_partition(img).sets)
+    levels = level_partition(img).values.size
     assert 80 <= levels <= 150  # piecewise-smooth with ~100 occurring levels
     wpath = ward_path(level_partition(img))
     upath = uniform_path(256)

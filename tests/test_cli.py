@@ -206,3 +206,68 @@ def test_compress_needs_exactly_one_target(small_pgm, tmp_path):
     _, pgm_path = small_pgm
     argv = ["compress", str(pgm_path), "--method", "ward", "--out", str(tmp_path / "m")]
     assert main(argv) == 2
+
+
+def test_scalespace_partitions_each_image_once(small_pgm, tmp_path, monkeypatch):
+    from qss import scale_space
+    from qss.image import level_partition
+
+    img, pgm_path = small_pgm
+    calls = []
+
+    def counting(image, mask=None):
+        calls.append(image)
+        return level_partition(image, mask)
+
+    monkeypatch.setattr(scale_space, "level_partition", counting)
+    for method, steps in (("ward", len(np.unique(img.pixels)) - 1), ("uniform", 255)):
+        calls.clear()
+        argv = ["scalespace", str(pgm_path), "--method", method,
+                "--report", str(tmp_path / "r.csv")]
+        assert main(argv) == 0
+        assert len(calls) == steps + 1
+
+
+def test_scalespace_failed_entropy_check_exits_3(small_pgm, tmp_path, monkeypatch, capsys):
+    import itertools
+
+    from qss import scale_space
+
+    _, pgm_path = small_pgm
+    rising = itertools.count()
+    monkeypatch.setattr(scale_space, "entropy", lambda part: float(next(rising)))
+    report = tmp_path / "r.csv"
+    argv = ["scalespace", str(pgm_path), "--method", "ward", "--report", str(report)]
+    assert main(argv) == 3
+    out = capsys.readouterr()
+    assert "entropy VIOLATED" in out.out
+    assert out.err == "error: entropy Lyapunov check failed\n"
+    rows = report.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[5] for row in rows[:3]] == ["1", "0", "0"]
+
+
+@pytest.mark.parametrize("ratio", ["0", "-3", "nan", "inf", "-inf"])
+def test_compress_rejects_bad_ratio(small_pgm, tmp_path, capsys, ratio):
+    _, pgm_path = small_pgm
+    argv = ["compress", str(pgm_path), "--method", "ward", "--ratio=" + ratio,
+            "--out", str(tmp_path / "m.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("candidates", ["0", "-100000"])
+def test_bad_candidate_limit_is_input_error(tmp_path, capsys, candidates):
+    img = make_synthetic(16)
+    pgm_path = tmp_path / "in.pgm"
+    save_pgm(pgm_path, img)
+    path_file = tmp_path / "p.txt"
+    assert main(["sparsify", str(pgm_path), "--out", str(path_file)]) == 0
+    capsys.readouterr()
+    quantise = ["quantise", str(pgm_path), "--method", "spars", "--mask",
+                "%s@0.3" % path_file, "--levels", "2", "--out", str(tmp_path / "q")]
+    compress = ["compress", str(pgm_path), "--method", "spars", "--ratio", "10",
+                "--out", str(tmp_path / "m.txt")]
+    for argv in (quantise, compress):
+        assert main(argv + ["--candidates=" + candidates]) == 2
+        assert capsys.readouterr().err.startswith("error:")

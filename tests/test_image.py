@@ -6,6 +6,7 @@ import pytest
 from qss import (
     DomainError,
     Image,
+    LevelPartition,
     Mask,
     entropy,
     level_partition,
@@ -37,30 +38,39 @@ class TestLevelPartition:
     def test_basic_grouping(self):
         part = level_partition(Image(2, 2, [5, 5, 7, 5]))
         assert list(part.values) == [5, 7]
-        assert [list(s) for s in part.sets] == [[0, 1, 3], [2]]
+        assert list(part.counts) == [3, 1]
+        assert part.domain_size == 4
 
     def test_constant_image(self):
         part = level_partition(Image(3, 3, [0] * 9))
-        assert len(part.sets) == 1 and part.sets[0].size == 9
+        assert part.values.size == 1 and part.counts[0] == 9
 
     def test_masked(self):
         part = level_partition(Image(4, 1, [0, 10, 100, 0]), Mask([0, 1], 4))
         assert list(part.values) == [0, 10]
-        assert [list(s) for s in part.sets] == [[0], [1]]
+        assert list(part.counts) == [1, 1]
+
+    def test_values_and_counts_must_pair_up(self):
+        with pytest.raises(ValueError):
+            LevelPartition(np.array([1, 2]), np.array([3]))
 
     def test_empty_mask_rejected(self):
         with pytest.raises(DomainError, match="empty domain"):
             level_partition(Image(2, 2, [0, 1, 2, 3]), Mask([], 4))
 
-    def test_sets_reassemble_pixels(self):
+    def test_counts_match_unique(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            img = Image(4, 4, rng.integers(0, 6, 16))
-            part = level_partition(img)
-            rebuilt = np.empty(16, dtype=int)
-            for v, s in zip(part.values, part.sets):
-                rebuilt[s] = v
-            assert np.array_equal(rebuilt, img.pixels)
+            w, h = (int(k) for k in rng.integers(1, 20, 2))
+            img = Image(w, h, rng.integers(0, int(rng.integers(1, 257)), w * h))
+            size = int(rng.integers(1, img.size + 1))
+            mask = Mask(rng.choice(img.size, size=size, replace=False), img.size)
+            for domain, m in ((img.pixels, None), (img.pixels[mask.indices], mask)):
+                part = level_partition(img, m)
+                values, counts = np.unique(domain, return_counts=True)
+                assert np.array_equal(part.values, values)
+                assert np.array_equal(part.counts, counts)
+                assert part.domain_size == domain.size
 
 
 class TestEntropy:
@@ -79,12 +89,12 @@ class TestEntropy:
             img = Image(5, 5, rng.integers(0, 8, 25))
             part = level_partition(img)
             h = entropy(part)
-            bound = math.log2(len(part.sets))
+            bound = math.log2(part.values.size)
             assert h <= bound + 1e-12
-            sizes = {s.size for s in part.sets}
+            sizes = set(part.counts.tolist())
             if len(sizes) == 1:
                 assert h == pytest.approx(bound, abs=1e-12)
-            elif len(part.sets) > 1:
+            elif part.values.size > 1:
                 assert h < bound
 
     def test_permutation_invariant(self):

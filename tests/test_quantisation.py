@@ -58,11 +58,9 @@ def ward_oracle_steps(values, counts):
 
 
 def partition_of(values, counts):
-    offsets = np.cumsum([0] + list(counts))
-    sets = [np.arange(offsets[k], offsets[k + 1]) for k in range(len(values))]
     from qss import LevelPartition
 
-    return LevelPartition(np.array(values), tuple(sets), int(offsets[-1]))
+    return LevelPartition(np.array(values), np.array(counts))
 
 
 class TestPathValidation:
@@ -174,7 +172,7 @@ class TestWardPath:
         from qss import LevelPartition
 
         with pytest.raises(DomainError):
-            ward_path(LevelPartition(np.array([]), (), 0))
+            ward_path(LevelPartition(np.array([]), np.array([])))
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(9)
@@ -224,7 +222,9 @@ def spars_reference_path(image, mask, candidate_limit=None):
     n = part.counts.astype(np.float64)
     s = v * n
     psi = np.empty((v.size, image.size))
-    for k, level_set in enumerate(part.sets):
+    for k, value in enumerate(part.values):
+        level_set = np.flatnonzero(image.pixels == value)
+        level_set = level_set[np.isin(level_set, mask.indices)]
         indicator = np.zeros(len(mask))
         indicator[np.searchsorted(mask.indices, level_set)] = 1.0
         psi[k] = solver.solve(indicator)
@@ -332,3 +332,10 @@ def test_quant_path_file_errors():
         read_quant_path_file("nope\n")
     with pytest.raises(ValueError):
         read_quant_path_file("QSSQPATH v1\n0 ten\n")
+
+
+@pytest.mark.parametrize("limit", [0, -1, -100000])
+def test_candidate_limit_below_one_rejected(limit):
+    img = Image(4, 1, [0, 10, 20, 30])
+    with pytest.raises(ValueError, match="candidate limit"):
+        sparsification_quant_path(img, Mask.full(4), candidate_limit=limit)

@@ -26,18 +26,18 @@ def ward_of(img, mask=None):
 class TestGenerate:
     def test_empty_path(self):
         img = Image(2, 1, [4, 4])
-        seq = generate(img, None, QuantisationPath((4,), ()))
+        seq = list(generate(img, None, QuantisationPath((4,), ())))
         assert seq == [img]
 
     def test_two_value_image(self):
         img = Image(2, 1, [0, 9])
-        seq = generate(img, None, ward_of(img))
+        seq = list(generate(img, None, ward_of(img)))
         assert len(seq) == 2
         assert len(np.unique(seq[-1].pixels)) == 1
 
     def test_ward_cascade_example(self):
         img = Image(4, 1, [0, 0, 10, 100])
-        seq = generate(img, None, ward_of(img))
+        seq = list(generate(img, None, ward_of(img)))
         assert [list(s.pixels) for s in seq] == [
             [0, 0, 10, 100],
             [0, 0, 0, 100],
@@ -47,7 +47,7 @@ class TestGenerate:
     def test_sequence_length(self):
         img = Image(3, 3, [0, 1, 2, 3, 4, 5, 6, 7, 0])
         path = ward_of(img)
-        assert len(generate(img, None, path)) == len(path) + 1
+        assert len(list(generate(img, None, path))) == len(path) + 1
 
 
 class TestEntropyLyapunov:
@@ -78,6 +78,13 @@ class TestEntropyLyapunov:
         report = verify_lyapunov_entropy(increasing)
         assert not report.passed and report.violations == [0]
 
+    def test_merge_without_strict_drop_reported(self):
+        # 5 levels (1, 1, 1, 1, 4) and 4 levels (2, 2, 2, 2) both have 2 bits
+        flat = [Image(8, 1, [0, 1, 2, 3, 4, 4, 4, 4]), Image(8, 1, [0, 0, 1, 1, 2, 2, 3, 3])]
+        report = verify_lyapunov_entropy(flat)
+        assert report.entropies == [2.0, 2.0]
+        assert report.violations == [] and report.strict_violations == [0]
+
 
 class TestMaxMin:
     def test_constant_sequence(self):
@@ -88,6 +95,12 @@ class TestMaxMin:
         img = Image(16, 16, np.arange(256), grey_depth=256)
         seq = generate(img, None, uniform_path(256))
         assert verify_maxmin(seq).passed
+
+    def test_bounds_are_those_of_the_first_image(self):
+        seq = [Image(3, 1, p) for p in ([0, 5, 9], [5, 5, 5], [0, 5, 9], [0, 5, 10])]
+        report = verify_maxmin(seq)
+        assert report.values == [(0, 9), (5, 5), (0, 9), (0, 10)]
+        assert report.violations == [3]
 
     def test_committed_paths_on_random_images(self):
         rng = np.random.default_rng(1)
@@ -132,6 +145,12 @@ class TestContrastLyapunov:
         report = verify_contrast_lyapunov(generate(img, None, uniform_path(256)))
         assert report.passed
 
+    def test_increase_reported(self):
+        seq = [Image(2, 1, p) for p in ([0, 9], [4, 5], [4, 5], [3, 5])]
+        report = verify_contrast_lyapunov(seq)
+        assert report.values == [9, 1, 1, 2]
+        assert report.violations == [2]
+
 
 class TestInvariances:
     def test_permutation_commutes(self):
@@ -158,14 +177,14 @@ class TestInvariances:
         img = Image(5, 5, rng.integers(0, 40, 25))
         path = ward_of(img)
         final = apply_path(img, None, path, len(path))
-        assert len(level_partition(final).sets) == 1
+        assert level_partition(final).values.size == 1
 
 
 def test_report_csv_shape():
     rng = np.random.default_rng(6)
     img = Image(4, 4, rng.integers(0, 16, 16))
     path = ward_of(img)
-    csv_text = report_csv(generate(img, None, path), None, img)
+    csv_text, _ = report_csv(generate(img, None, path), None, img)
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("step,active_levels,entropy_bits,contrast,mse")
     assert len(lines) == len(path) + 2
@@ -178,8 +197,64 @@ def test_report_csv_masked_domain():
     img = Image(4, 1, [0, 0, 10, 100])
     mask = Mask([0, 1, 2], 4)
     path = ward_of(img, mask)
-    seq = generate(img, mask, path)
-    lines = report_csv(seq, mask, img).strip().splitlines()
+    seq = list(generate(img, mask, path))
+    lines = report_csv(seq, mask, img)[0].strip().splitlines()
     assert len(lines) == len(path) + 2
     # unmasked pixel keeps its original value throughout
     assert all(s.pixels[3] == 100 for s in seq)
+
+
+def test_report_csv_flags_and_mse_by_hand():
+    seq = [
+        Image(8, 1, [0, 1, 2, 3, 4, 4, 4, 4]),  # 5 levels, 2 bits
+        Image(8, 1, [0, 0, 1, 1, 2, 2, 3, 3]),  # merge without an entropy drop
+        Image(8, 1, [0, 0, 1, 1, 2, 2, 3, 5]),  # entropy, contrast and max rise
+    ]
+    text, lyap = report_csv(iter(seq))
+    assert text == (
+        "step,active_levels,entropy_bits,contrast,mse,"
+        "entropy_ok,contrast_ok,maxmin_ok\n"
+        "0,5,2,4,0,1,1,1\n"
+        "1,4,2,3,2,0,1,1\n"
+        "2,5,2.25,5,2,0,0,0\n"
+    )
+    assert lyap.violations == [1] and lyap.strict_violations == [0]
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_streamed_report_equals_listed(masked):
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        img = Image(6, 5, rng.integers(0, 64, 30), grey_depth=64)
+        mask = Mask(rng.choice(30, size=18, replace=False), 30) if masked else None
+        for path in (ward_of(img, mask), uniform_path(64)):
+            listed = list(generate(img, mask, path))
+            text, lyap = report_csv(generate(img, mask, path), mask, img)
+            assert (text, lyap) == report_csv(listed, mask, img)
+            # without an original, MSE is taken against f^0, which is img
+            assert (text, lyap) == report_csv(generate(img, mask, path), mask)
+            assert lyap == verify_lyapunov_entropy(listed, mask)
+            assert len(text.strip().splitlines()) == len(path) + 2
+
+
+@pytest.mark.parametrize(
+    "check",
+    [verify_lyapunov_entropy, verify_maxmin, verify_contrast_lyapunov, report_csv],
+)
+def test_checks_consume_a_generator_once(check):
+    img = Image(4, 1, [0, 0, 10, 100])
+    path = ward_of(img)
+    seq = generate(img, None, path)
+    assert check(seq) == check(list(generate(img, None, path)))
+    with pytest.raises(ValueError, match="empty"):
+        check(seq)
+    with pytest.raises(ValueError, match="empty"):
+        check([])
+
+
+def test_generate_is_lazy():
+    img = Image(2, 1, [0, 9])
+    # a path that does not fit the image fails only once iteration starts
+    seq = generate(img, None, QuantisationPath((1, 2), (MergeStep(1, 2, 1),)))
+    with pytest.raises(ValueError):
+        next(seq)
