@@ -91,9 +91,7 @@ def cmd_sparsify(args) -> int:
 def cmd_quantise(args) -> int:
     image = _load_image(args.input)
     method, mask, build_mask = _resolve_method_and_mask(args, image)
-    path = compression.build_quant_path(
-        image, build_mask, method, candidate_limit=args.candidates
-    )
+    path = compression.build_quant_path(image, build_mask, method)
     available = len(path.initial_values)
     if not 1 <= args.levels <= available:
         raise CliError(EXIT_INPUT, "levels %d not in [1, %d]" % (args.levels, available))
@@ -137,17 +135,15 @@ def cmd_compress(args) -> int:
         raise CliError(EXIT_INPUT, "give exactly one of --budget / --ratio")
     if args.ratio is not None and not 0 < args.ratio < math.inf:
         raise CliError(EXIT_INPUT, "ratio must be positive and finite")
-    if args.candidates is not None and args.candidates < 1:
-        raise CliError(EXIT_INPUT, "candidates must be >= 1")
+    if args.budget is not None and not args.budget > 0:
+        raise CliError(EXIT_INPUT, "budget must be positive")
     budget = args.budget if args.budget is not None else 8.0 * image.size / args.ratio
     # rd_optimize reads no mask sparser than its smallest grid density
     spath = sparsification.probabilistic_sparsify(
         image, args.p, args.q, seed=args.seed,
         floor_density=min(compression.DEFAULT_DENSITIES),
     )
-    point, rec = compression.rd_optimize(
-        image, spath, method, budget, candidate_limit=args.candidates
-    )
+    point, rec = compression.rd_optimize(image, spath, method, budget)
     cost = point.cost
     manifest = _format_manifest(
         [
@@ -156,7 +152,7 @@ def cmd_compress(args) -> int:
             ("candidate_fraction", args.p),
             ("keep_fraction", args.q),
             ("budget_bits", float(budget)),
-            ("approximate", "yes" if args.candidates is not None else "no"),
+            ("approximate", "no"),
             ("l", point.l),
             ("m", point.m),
             ("q_levels", point.q_levels),
@@ -197,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["uniform", "ward", "spars"], required=True)
     p.add_argument("--mask", help="sparsification path file as pathfile@density")
     p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--candidates", type=int, help="restrict merge candidates per step")
     p.add_argument("--out", required=True, help="output prefix (.pgm and .qpath)")
     p.set_defaults(func=cmd_quantise)
 
@@ -216,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p", type=float, default=0.02)
     p.add_argument("--q", type=float, default=0.02)
-    p.add_argument("--candidates", type=int)
     p.add_argument("--out", required=True, help="manifest output file")
     p.add_argument("--out-image", help="reconstruction PGM (default: manifest.pgm)")
     p.set_defaults(func=cmd_compress)

@@ -93,7 +93,6 @@ def build_quant_path(
     mask: Mask,
     method: str,
     tolerance: float = 1e-9,
-    candidate_limit: int | None = None,
 ) -> QuantisationPath:
     """Quantisation path for the known data of one mask."""
     if method == "uniform":
@@ -101,7 +100,7 @@ def build_quant_path(
     if method == "ward":
         return ward_path(level_partition(image, mask))
     if method == "sparsification":
-        return sparsification_quant_path(image, mask, tolerance, candidate_limit)
+        return sparsification_quant_path(image, mask, tolerance)
     raise ValueError("unknown method %r" % method)
 
 
@@ -112,7 +111,6 @@ def evaluate_grid(
     l_grid,
     m_grid=None,
     tolerance: float = 1e-9,
-    candidate_limit: int | None = None,
     budget: float = math.inf,
     on_reconstruction=None,
 ):
@@ -128,7 +126,7 @@ def evaluate_grid(
     for l in l_grid:
         mask = spars_path.mask_at(l)
         solver = InpaintSolver(mask, image.width, image.height)
-        path = build_quant_path(image, mask, method, tolerance, candidate_limit)
+        path = build_quant_path(image, mask, method, tolerance)
         ms = range(len(path) + 1) if m_grid is None else [
             m for m in m_grid if 0 <= m <= len(path)
         ]
@@ -155,7 +153,6 @@ def rd_optimize(
     budget: float = math.inf,
     l_grid=None,
     tolerance: float = 1e-9,
-    candidate_limit: int | None = None,
 ):
     """Best (l, m) under the budget; ties go to larger l, then larger m.
 
@@ -177,8 +174,7 @@ def rd_optimize(
             best, best_rec = point, rec
 
     points = evaluate_grid(
-        image, spars_path, method, l_grid, None, tolerance, candidate_limit, budget,
-        keep_best,
+        image, spars_path, method, l_grid, None, tolerance, budget, keep_best
     )
     if best is None:
         raise InfeasibleBudgetError(min(p.total_bits for p in points))

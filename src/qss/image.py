@@ -148,7 +148,8 @@ def level_partition(image: Image, mask: Mask | None = None) -> LevelPartition:
 def entropy(partition: LevelPartition) -> float:
     """Shannon entropy of the level-set histogram, in bits per pixel."""
     p = partition.counts / partition.domain_size
-    return float(-np.sum(p * np.log2(p)))
+    # 0.0 - x, not -x: a single level gives +0.0 rather than -0.0
+    return float(0.0 - np.sum(p * np.log2(p)))
 
 
 def total_contrast(image: Image, mask: Mask | None = None) -> int:

@@ -4,7 +4,9 @@ A path is an ordered list of merge steps; each step collapses exactly two
 active grey values into one representative and leaves all others alone.
 Three builders are provided: uniform pyramidal merging, greedy Ward
 clustering on the known data, and quantisation by sparsification (greedy
-merging by global inpainting error).
+merging by global inpainting error). The last two run one merge loop:
+Ward clustering is its full-mask case, where the inpainting basis
+functions are the level-set indicators.
 """
 
 from __future__ import annotations
@@ -186,37 +188,56 @@ def _argmin_pair(delta):
     return flat // q, flat % q
 
 
-def ward_path(partition: LevelPartition) -> QuantisationPath:
-    """Greedy merging minimising squared error against the original data.
+def _greedy_merge(values, counts, dots, gram):
+    """Merge steps that greedily minimise the squared reconstruction error.
 
-    All value pairs are considered; the representative is the member
-    cluster with the largest occurrence count.
+    Cluster k has grey value `values[k]`, occurrence count `counts[k]` and
+    basis function psi_k; the reconstruction is sum_k values[k] psi_k.
+    `gram` is psi psi^T and `dots` is psi . res, res being the original
+    minus the reconstruction; the loop consumes both. Each step merges
+    the pair with the smallest error change (see `_pair_deltas`) into its
+    representative.
     """
-    if partition.values.size == 0:
-        raise DomainError("empty partition")
-    v = partition.values.astype(np.int64).copy()
-    n = partition.counts.astype(np.float64)
-    s = v * n  # per-cluster sum of original values
+    v = np.asarray(values, dtype=np.int64)
+    n = np.array(counts, dtype=np.float64)
+    rows = np.arange(v.size)  # each live cluster's row and column in gram
     steps = []
     while v.size > 1:
-        delta, reps, rep_low = _pair_deltas(v, n, s - n * v, n)
+        delta, reps, rep_low = _pair_deltas(v, n, dots, gram.diagonal()[rows])
         i, j = _argmin_pair(delta)
         r = int(reps[i, j])
         steps.append(MergeStep(int(v[i]), int(v[j]), r))
         keep, drop = (i, j) if rep_low[i, j] else (j, i)
+        gk, gd = rows[keep], rows[drop]
+        # res -= (r - v_drop) psi_drop, then psi_keep += psi_drop
+        dots -= float(r - v[drop]) * gram[rows, gd]
+        dots[keep] += dots[drop]
+        gram[gk, :] += gram[gd, :]
+        gram[:, gk] += gram[:, gd]
         n[keep] += n[drop]
-        s[keep] += s[drop]
-        v = np.delete(v, drop)
-        n = np.delete(n, drop)
-        s = np.delete(s, drop)
-    return QuantisationPath(tuple(partition.values), tuple(steps))
+        v, n, dots, rows = (np.delete(a, drop) for a in (v, n, dots, rows))
+    return tuple(steps)
+
+
+def ward_path(partition: LevelPartition) -> QuantisationPath:
+    """Greedy merging minimising squared error against the original data.
+
+    All value pairs are considered; the representative is the member
+    cluster with the largest occurrence count. This is the merge loop of
+    `sparsification_quant_path` with a full mask, whose basis functions
+    are the level-set indicators: their Gram matrix is the diagonal of the
+    counts and the initial residual is zero, so every update stays an
+    exact integer.
+    """
+    if partition.values.size == 0:
+        raise DomainError("empty partition")
+    n = partition.counts.astype(np.float64)
+    steps = _greedy_merge(partition.values, n, np.zeros(n.size), np.diag(n))
+    return QuantisationPath(tuple(partition.values), steps)
 
 
 def sparsification_quant_path(
-    image: Image,
-    mask: Mask,
-    tolerance: float = 1e-9,
-    candidate_limit: int | None = None,
+    image: Image, mask: Mask, tolerance: float = 1e-9
 ) -> QuantisationPath:
     """Greedy merging of known-data values by global inpainting error.
 
@@ -228,23 +249,16 @@ def sparsification_quant_path(
     needs only the Gram matrix of the basis functions and their inner
     products with the residual, so it costs O(levels^2) per step whatever
     the image size. With a full mask this reduces to Ward clustering.
-
-    `candidate_limit` restricts each step to the K pairs with the lowest
-    Ward (known-data) error change; results are then approximate.
     """
     if len(mask) == 0:
         raise DomainError("empty mask")
-    if candidate_limit is not None and candidate_limit < 1:
-        raise ValueError("candidate limit must be >= 1")
     part = level_partition(image, mask)
     initial = tuple(part.values)
     if len(initial) == 1:
         return QuantisationPath(initial, ())
 
     solver = InpaintSolver(mask, image.width, image.height)
-    v = part.values.astype(np.int64).copy()
-    n = part.counts.astype(np.float64)
-    s = v * n
+    v = part.values.astype(np.int64)
     known = image.pixels[mask.indices]
     psi = np.empty((v.size, image.size), dtype=np.float64)
     for k, value in enumerate(v):
@@ -253,31 +267,7 @@ def sparsification_quant_path(
     gram = psi @ psi.T
     dots = psi @ res
     del psi, res
-
-    steps = []
-    while v.size > 1:
-        delta, reps, rep_low = _pair_deltas(v, n, dots, gram.diagonal())
-        if candidate_limit is not None and candidate_limit < v.size * (v.size - 1) // 2:
-            ward_delta, _, _ = _pair_deltas(v, n, s - n * v, n)
-            q = v.size
-            masked = np.where(np.triu(np.ones((q, q), dtype=bool), 1), ward_delta, np.inf)
-            cutoff = np.sort(masked, axis=None)[candidate_limit - 1]
-            delta = np.where(masked <= cutoff, delta, np.inf)
-        i, j = _argmin_pair(delta)
-        r = int(reps[i, j])
-        steps.append(MergeStep(int(v[i]), int(v[j]), r))
-        keep, drop = (i, j) if rep_low[i, j] else (j, i)
-        # res -= (r - v_drop) psi_drop, then psi_keep += psi_drop
-        dots -= float(r - v[drop]) * gram[:, drop]
-        dots[keep] += dots[drop]
-        gram[keep, :] += gram[drop, :]
-        gram[:, keep] += gram[:, drop]
-        n[keep] += n[drop]
-        s[keep] += s[drop]
-        live = np.arange(v.size) != drop
-        v, n, s, dots = v[live], n[live], s[live], dots[live]
-        gram = gram[np.ix_(live, live)]
-    return QuantisationPath(initial, tuple(steps))
+    return QuantisationPath(initial, _greedy_merge(v, part.counts, dots, gram))
 
 
 QPATH_MAGIC = "QSSQPATH v1"

@@ -193,6 +193,33 @@ def test_compress_manifest_cost_matches_winning_scales(tmp_path, method):
     assert entries["total_bits"] == "%.10g" % cost.total_bits
 
 
+def test_compress_infinite_budget_reproduces_image(small_pgm, tmp_path):
+    img, pgm_path = small_pgm
+    manifest = tmp_path / "m.txt"
+    argv = [
+        "compress", str(pgm_path), "--method", "ward", "--budget", "inf",
+        "--out", str(manifest),
+    ]
+    assert main(argv) == 0
+    entries = dict(
+        line.split("=", 1) for line in manifest.read_text().strip().splitlines()
+    )
+    assert entries["budget_bits"] == "inf"
+    assert float(entries["mse"]) == 0.0
+    assert load_pgm(tmp_path / "m.pgm") == img
+
+
+@pytest.mark.parametrize("method", ["uniform", "ward", "spars"])
+def test_compress_manifest_is_exact(small_pgm, tmp_path, method):
+    _, pgm_path = small_pgm
+    manifest = tmp_path / "m.txt"
+    argv = ["compress", str(pgm_path), "--method", method, "--ratio", "10",
+            "--out", str(manifest)]
+    assert main(argv) == 0
+    lines = manifest.read_text().strip().splitlines()
+    assert [line for line in lines if line.startswith("approximate=")] == ["approximate=no"]
+
+
 def test_compress_infeasible_budget(small_pgm, tmp_path):
     _, pgm_path = small_pgm
     argv = [
@@ -256,18 +283,23 @@ def test_compress_rejects_bad_ratio(small_pgm, tmp_path, capsys, ratio):
     assert not (tmp_path / "m.txt").exists()
 
 
-@pytest.mark.parametrize("candidates", ["0", "-100000"])
-def test_bad_candidate_limit_is_input_error(tmp_path, capsys, candidates):
-    img = make_synthetic(16)
-    pgm_path = tmp_path / "in.pgm"
-    save_pgm(pgm_path, img)
-    path_file = tmp_path / "p.txt"
-    assert main(["sparsify", str(pgm_path), "--out", str(path_file)]) == 0
-    capsys.readouterr()
-    quantise = ["quantise", str(pgm_path), "--method", "spars", "--mask",
-                "%s@0.3" % path_file, "--levels", "2", "--out", str(tmp_path / "q")]
-    compress = ["compress", str(pgm_path), "--method", "spars", "--ratio", "10",
-                "--out", str(tmp_path / "m.txt")]
-    for argv in (quantise, compress):
-        assert main(argv + ["--candidates=" + candidates]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+@pytest.mark.parametrize("budget", ["nan", "0", "-5", "-0", "-inf"])
+def test_compress_rejects_bad_budget(small_pgm, tmp_path, capsys, budget):
+    _, pgm_path = small_pgm
+    argv = ["compress", str(pgm_path), "--method", "ward", "--budget=" + budget,
+            "--out", str(tmp_path / "m.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["quantise", "compress"])
+def test_candidates_is_unknown_argument(small_pgm, tmp_path, capsys, command):
+    _, pgm_path = small_pgm
+    target = ["--levels", "2"] if command == "quantise" else ["--ratio", "10"]
+    argv = [command, str(pgm_path), "--method", "ward", *target,
+            "--out", str(tmp_path / "o"), "--candidates", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --candidates 5" in capsys.readouterr().err

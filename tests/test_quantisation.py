@@ -176,10 +176,11 @@ class TestWardPath:
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(9)
-        for _ in range(25):
-            k = int(rng.integers(2, 9))
+        # 25 short runs, then 3 long runs with large counts
+        for min_k, max_k, max_count in [(2, 8, 20)] * 25 + [(35, 41, 10**4)] * 3:
+            k = int(rng.integers(min_k, max_k + 1))
             values = np.sort(rng.choice(256, size=k, replace=False))
-            counts = rng.integers(1, 20, size=k)
+            counts = rng.integers(1, max_count, size=k)
             path = ward_path(partition_of(values, counts))
             expected = ward_oracle_steps(values, counts)
             got = [(s.source_low, s.source_high, s.merged_value) for s in path.steps]
@@ -213,14 +214,13 @@ def spars_candidate_mses(original, current, mask, active_values):
     return out
 
 
-def spars_reference_path(image, mask, candidate_limit=None):
+def spars_reference_path(image, mask):
     """Greedy inpainting-error merging that keeps every basis function and
     recomputes their inner products with the residual at every step."""
     part = level_partition(image, mask)
     solver = InpaintSolver(mask, image.width, image.height)
     v = part.values.astype(np.int64).copy()
     n = part.counts.astype(np.float64)
-    s = v * n
     psi = np.empty((v.size, image.size))
     for k, value in enumerate(part.values):
         level_set = np.flatnonzero(image.pixels == value)
@@ -233,12 +233,6 @@ def spars_reference_path(image, mask, candidate_limit=None):
     steps = []
     while v.size > 1:
         delta, reps, rep_low = _pair_deltas(v, n, psi @ res, gram)
-        if candidate_limit is not None and candidate_limit < v.size * (v.size - 1) // 2:
-            ward_delta, _, _ = _pair_deltas(v, n, s - n * v, n)
-            upper = np.where(np.triu(np.ones((v.size, v.size), dtype=bool), 1),
-                             ward_delta, np.inf)
-            cutoff = np.sort(upper, axis=None)[candidate_limit - 1]
-            delta = np.where(upper <= cutoff, delta, np.inf)
         i, j = _argmin_pair(delta)
         r = int(reps[i, j])
         steps.append(MergeStep(int(v[i]), int(v[j]), r))
@@ -247,19 +241,18 @@ def spars_reference_path(image, mask, candidate_limit=None):
         gram[keep] += gram[drop] + 2.0 * (psi[drop] @ psi[keep])
         psi[keep] += psi[drop]
         n[keep] += n[drop]
-        s[keep] += s[drop]
         live = np.arange(v.size) != drop
-        v, n, s, gram, psi = v[live], n[live], s[live], gram[live], psi[live]
+        v, n, gram, psi = v[live], n[live], gram[live], psi[live]
     return QuantisationPath(tuple(part.values), tuple(steps))
 
 
 class TestSparsificationQuantPath:
     def test_full_mask_equals_ward(self):
         rng = np.random.default_rng(11)
-        for _ in range(10):
-            img = Image(5, 4, rng.integers(0, 24, 20))
+        images = [Image(5, 4, rng.integers(0, 24, 20)) for _ in range(10)]
+        for img in images + [make_synthetic(48)]:
             ward = ward_path(level_partition(img))
-            spars = sparsification_quant_path(img, Mask.full(20))
+            spars = sparsification_quant_path(img, Mask.full(img.size))
             assert ward == spars
 
     def test_single_value_empty_path(self):
@@ -299,24 +292,13 @@ class TestSparsificationQuantPath:
 
                 current = apply_steps(current, mask, [step])
 
-    @pytest.mark.parametrize("density", [0.04, 0.16, 0.64])
-    @pytest.mark.parametrize("candidate_limit", [None, 5])
-    def test_matches_residual_recomputing_reference(self, density, candidate_limit):
+    @pytest.mark.parametrize("density", [0.04, 0.16, 0.64, 0.01, 1.0])
+    def test_matches_residual_recomputing_reference(self, density):
         img = make_synthetic(48)
         rng = np.random.default_rng(int(100 * density))
         mask = Mask(rng.choice(img.size, size=round(density * img.size), replace=False),
                     img.size)
-        expected = spars_reference_path(img, mask, candidate_limit)
-        assert sparsification_quant_path(img, mask, candidate_limit=candidate_limit) == expected
-
-    def test_candidate_limit_still_full_valid_path(self):
-        rng = np.random.default_rng(13)
-        img = Image(5, 5, rng.integers(0, 32, 25))
-        mask = Mask(rng.choice(25, size=15, replace=False), 25)
-        full = sparsification_quant_path(img, mask)
-        limited = sparsification_quant_path(img, mask, candidate_limit=3)
-        assert len(limited) == len(full)
-        assert limited.initial_values == full.initial_values
+        assert sparsification_quant_path(img, mask) == spars_reference_path(img, mask)
 
 
 def test_quant_path_file_roundtrip():
@@ -333,9 +315,3 @@ def test_quant_path_file_errors():
     with pytest.raises(ValueError):
         read_quant_path_file("QSSQPATH v1\n0 ten\n")
 
-
-@pytest.mark.parametrize("limit", [0, -1, -100000])
-def test_candidate_limit_below_one_rejected(limit):
-    img = Image(4, 1, [0, 10, 20, 30])
-    with pytest.raises(ValueError, match="candidate limit"):
-        sparsification_quant_path(img, Mask.full(4), candidate_limit=limit)

@@ -191,6 +191,8 @@ def test_report_csv_shape():
     # entropy column non-increasing
     entropies = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(entropies, entropies[1:]))
+    # the flat image at the end has entropy 0, printed without a sign
+    assert lines[-1].split(",")[2] == "0"
 
 
 def test_report_csv_masked_domain():
