@@ -31,6 +31,8 @@ METHODS = ("uniform", "ward", "sparsification")
 
 DEFAULT_DENSITIES = (1.0, 0.64, 0.32, 0.16, 0.08, 0.04, 0.02, 0.01)
 
+BUCKETS_PER_DECADE = 10  # compression-ratio buckets of the RD envelope
+
 
 class InfeasibleBudgetError(ValueError):
     """No (l, m) pair fits the bit budget."""
@@ -82,25 +84,20 @@ def coding_cost(known_values: np.ndarray, q_levels: int, method: str) -> CostMod
     return CostModel(method, per_value, int(values.size), overhead)
 
 
-def default_l_grid(image_size: int, densities=DEFAULT_DENSITIES):
-    """Mask scales corresponding to logarithmically spaced densities."""
-    grid = sorted({image_size - math.ceil(d * image_size) for d in densities})
+def default_l_grid(image_size: int):
+    """Mask scales of the logarithmically spaced `DEFAULT_DENSITIES`."""
+    grid = sorted({image_size - math.ceil(d * image_size) for d in DEFAULT_DENSITIES})
     return [l for l in grid if 0 <= l < image_size]
 
 
-def build_quant_path(
-    image: Image,
-    mask: Mask,
-    method: str,
-    tolerance: float = 1e-9,
-) -> QuantisationPath:
+def build_quant_path(image: Image, mask: Mask, method: str) -> QuantisationPath:
     """Quantisation path for the known data of one mask."""
     if method == "uniform":
         return uniform_path(image.grey_depth)
     if method == "ward":
         return ward_path(level_partition(image, mask))
     if method == "sparsification":
-        return sparsification_quant_path(image, mask, tolerance)
+        return sparsification_quant_path(image, mask)
     raise ValueError("unknown method %r" % method)
 
 
@@ -109,12 +106,12 @@ def evaluate_grid(
     spars_path: SparsificationPath,
     method: str,
     l_grid,
-    m_grid=None,
-    tolerance: float = 1e-9,
     budget: float = math.inf,
     on_reconstruction=None,
 ):
     """All rate-distortion points of one method over the (l, m) grid.
+
+    Every quantisation scale m = 0 ... len(path) is evaluated at each l.
 
     Points over the bit budget are returned with mse = NaN (their
     reconstruction is never computed). Committed paths are rebuilt per l
@@ -126,17 +123,14 @@ def evaluate_grid(
     for l in l_grid:
         mask = spars_path.mask_at(l)
         solver = InpaintSolver(mask, image.width, image.height)
-        path = build_quant_path(image, mask, method, tolerance)
-        ms = range(len(path) + 1) if m_grid is None else [
-            m for m in m_grid if 0 <= m <= len(path)
-        ]
-        for m, g in _quantised_known_values(image, mask, path, ms):
+        path = build_quant_path(image, mask, method)
+        for m, g in enumerate(_quantised_known_values(image, mask, path)):
             q_levels = len(path.initial_values) - m
             cost = coding_cost(g, q_levels, method)
             ratio = 8.0 * image.size / cost.total_bits
             rec, err = None, math.nan
             if cost.total_bits < budget:
-                u = solver.solve(g, tolerance)
+                u = solver.solve(g)
                 rec = round_to_grey(u, image.width, image.height, image.grey_depth)
                 err = mse(image, rec)
             point = RateDistortionPoint(l, m, q_levels, err, ratio, cost)
@@ -152,7 +146,6 @@ def rd_optimize(
     method: str,
     budget: float = math.inf,
     l_grid=None,
-    tolerance: float = 1e-9,
 ):
     """Best (l, m) under the budget; ties go to larger l, then larger m.
 
@@ -173,28 +166,27 @@ def rd_optimize(
         if best is None or point.mse <= best.mse:
             best, best_rec = point, rec
 
-    points = evaluate_grid(
-        image, spars_path, method, l_grid, None, tolerance, budget, keep_best
-    )
+    points = evaluate_grid(image, spars_path, method, l_grid, budget, keep_best)
     if best is None:
         raise InfeasibleBudgetError(min(p.total_bits for p in points))
     return best, best_rec
 
 
-def rate_distortion_envelope(points, buckets_per_decade: int = 10):
+def rate_distortion_envelope(points):
     """Lower envelope over geometric compression-ratio buckets.
 
-    For every bucket containing at least one point, reports the best MSE
-    among all points whose ratio reaches the bucket's lower edge, which
-    makes the envelope monotone by construction.
+    There are `BUCKETS_PER_DECADE` buckets per decade of the ratio. For
+    every bucket containing at least one point, reports the best MSE among
+    all points whose ratio reaches the bucket's lower edge, which makes
+    the envelope monotone by construction.
     """
     usable = [p for p in points if not math.isnan(p.mse)]
     buckets = sorted(
-        {math.floor(buckets_per_decade * math.log10(p.compression_ratio)) for p in usable}
+        {math.floor(BUCKETS_PER_DECADE * math.log10(p.compression_ratio)) for p in usable}
     )
     envelope = []
     for b in buckets:
-        edge = 10 ** (b / buckets_per_decade)
+        edge = 10 ** (b / BUCKETS_PER_DECADE)
         best = min(p.mse for p in usable if p.compression_ratio >= edge)
         envelope.append((b, edge, best))
     return envelope
@@ -205,19 +197,16 @@ def rd_curve(
     spars_path: SparsificationPath,
     methods=METHODS,
     l_grid=None,
-    m_grid=None,
-    tolerance: float = 1e-9,
-    buckets_per_decade: int = 10,
 ):
     """Per-method rate-distortion points and their envelopes."""
     if l_grid is None:
         l_grid = default_l_grid(image.size)
     curves = {}
     for method in methods:
-        points = evaluate_grid(image, spars_path, method, l_grid, m_grid, tolerance)
+        points = evaluate_grid(image, spars_path, method, l_grid)
         curves[method] = {
             "points": points,
-            "envelope": rate_distortion_envelope(points, buckets_per_decade),
+            "envelope": rate_distortion_envelope(points),
         }
     return curves
 

@@ -14,6 +14,9 @@ import scipy.sparse.linalg as spla
 
 from .image import DomainError, Image, Mask
 
+# Largest absolute residual any solve may leave in an equation.
+RESIDUAL_BOUND = 1e-9
+
 
 class InpaintingError(RuntimeError):
     """Solver failed to reach the requested residual."""
@@ -90,20 +93,13 @@ class InpaintSolver:
     def n_unknown(self) -> int:
         return int(self._unknown.size)
 
-    def solve(
-        self,
-        known_values: np.ndarray,
-        tolerance: float = 1e-9,
-        max_iterations: int | None = None,
-        method: str = "direct",
-    ) -> np.ndarray:
+    def solve(self, known_values: np.ndarray, method: str = "direct") -> np.ndarray:
         """Reconstruction as a real-valued length-N vector.
 
         `known_values` holds the data at `mask.indices` (same order). The
-        residual of every interior equation is checked against `tolerance`.
+        residual of every interior equation is checked against
+        `RESIDUAL_BOUND`.
         """
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         g = np.asarray(known_values, dtype=np.float64).ravel()
         if g.size != len(self.mask):
             raise DomainError("known values do not match mask size")
@@ -117,37 +113,30 @@ class InpaintSolver:
                 self._lu = spla.splu(self._A.tocsc())
             x = self._lu.solve(b)
         elif method == "cg":
-            maxiter = max_iterations or 10 * self.width * self.height
-            x, _ = spla.cg(self._A, b, rtol=0.0, atol=tolerance / 2, maxiter=maxiter)
+            maxiter = 10 * self.width * self.height
+            x, _ = spla.cg(self._A, b, rtol=0.0, atol=RESIDUAL_BOUND / 2, maxiter=maxiter)
         else:
             raise ValueError("unknown method %r" % method)
         residual = float(np.abs(b - self._A @ x).max())
-        if residual > tolerance:
+        if residual > RESIDUAL_BOUND:
             raise InpaintingError(
                 "inpainting did not converge: residual %.3e > %.3e"
-                % (residual, tolerance),
+                % (residual, RESIDUAL_BOUND),
                 residual,
             )
         out[self._unknown] = x
         return out
 
 
-def inpaint(
-    known: Image,
-    mask: Mask,
-    tolerance: float = 1e-9,
-    max_iterations: int | None = None,
-    method: str = "cg",
-) -> np.ndarray:
+def inpaint(known: Image, mask: Mask, method: str = "cg") -> np.ndarray:
     """Inpaint `known` from the masked pixels; returns a real-valued grid.
 
     Values at mask indices are the input data, bit for bit. At every other
-    pixel the degree-adjusted 5-point Laplacian vanishes up to `tolerance`.
+    pixel the degree-adjusted 5-point Laplacian vanishes up to
+    `RESIDUAL_BOUND`.
     """
     solver = InpaintSolver(mask, known.width, known.height, factorize=(method == "direct"))
-    return solver.solve(
-        known.pixels[mask.indices], tolerance, max_iterations, method=method
-    )
+    return solver.solve(known.pixels[mask.indices], method=method)
 
 
 def round_to_grey(values: np.ndarray, width: int, height: int, grey_depth: int = 256) -> Image:

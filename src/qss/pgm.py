@@ -95,13 +95,20 @@ def load_pgm(path) -> Image:
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Write a file atomically (temp file + rename)."""
+    """Write a file atomically (temp file + rename).
+
+    The file gets the mode that `open()` gives a new file, 0o666 less the
+    umask, not the 0o600 of `tempfile.mkstemp`.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

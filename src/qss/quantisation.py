@@ -115,22 +115,19 @@ def _check_initial_values(values: np.ndarray, path: QuantisationPath) -> None:
         raise PathError("image contains values outside the path's initial values")
 
 
-def _quantised_known_values(image: Image, mask: Mask, path: QuantisationPath, ms):
-    """Yield (m, known data after the first m steps) for each m in `ms`.
+def _quantised_known_values(image: Image, mask: Mask, path: QuantisationPath):
+    """Yield the known data after the first m steps, for m = 0 ... len(path).
 
     Equals `apply_path(image, mask, path, m).pixels[mask.indices]`, but the
     initial values are checked once and the steps are replayed into one
-    lookup table, so ascending scales cost one pass over the path.
+    lookup table, so all scales cost one pass over the path.
     """
     values = image.pixels[mask.indices]
     _check_initial_values(values, path)
-    lut, done = None, 0
-    for m in ms:
-        if m < done:
-            lut, done = None, 0
-        lut = _value_map(path.steps[done:m], image.grey_depth, lut)
-        done = m
-        yield m, lut[values]
+    lut = _value_map((), image.grey_depth)
+    yield lut[values]
+    for step in path.steps:
+        yield _value_map((step,), image.grey_depth, lut)[values]
 
 
 def _round_half_away(x: float) -> int:
@@ -180,11 +177,13 @@ def _pair_deltas(v, n, o_stat, o_weight):
     return delta, r, rep_low
 
 
-def _argmin_pair(delta):
-    """First (row-major) upper-triangle minimum: smallest (s, t) on ties."""
+def _argmin_pair(delta, upper):
+    """First (row-major) upper-triangle minimum: smallest (s, t) on ties.
+
+    `upper` is a strict upper-triangle mask at least as large as `delta`.
+    """
     q = delta.shape[0]
-    masked = np.where(np.triu(np.ones((q, q), dtype=bool), 1), delta, np.inf)
-    flat = int(np.argmin(masked))
+    flat = int(np.argmin(np.where(upper[:q, :q], delta, np.inf)))
     return flat // q, flat % q
 
 
@@ -201,10 +200,11 @@ def _greedy_merge(values, counts, dots, gram):
     v = np.asarray(values, dtype=np.int64)
     n = np.array(counts, dtype=np.float64)
     rows = np.arange(v.size)  # each live cluster's row and column in gram
+    upper = np.triu(np.ones((v.size, v.size), dtype=bool), 1)
     steps = []
     while v.size > 1:
         delta, reps, rep_low = _pair_deltas(v, n, dots, gram.diagonal()[rows])
-        i, j = _argmin_pair(delta)
+        i, j = _argmin_pair(delta, upper)
         r = int(reps[i, j])
         steps.append(MergeStep(int(v[i]), int(v[j]), r))
         keep, drop = (i, j) if rep_low[i, j] else (j, i)
@@ -236,9 +236,7 @@ def ward_path(partition: LevelPartition) -> QuantisationPath:
     return QuantisationPath(tuple(partition.values), steps)
 
 
-def sparsification_quant_path(
-    image: Image, mask: Mask, tolerance: float = 1e-9
-) -> QuantisationPath:
+def sparsification_quant_path(image: Image, mask: Mask) -> QuantisationPath:
     """Greedy merging of known-data values by global inpainting error.
 
     Each candidate merge quantises the known data and scores the MSE of
@@ -262,7 +260,7 @@ def sparsification_quant_path(
     known = image.pixels[mask.indices]
     psi = np.empty((v.size, image.size), dtype=np.float64)
     for k, value in enumerate(v):
-        psi[k] = solver.solve((known == value).astype(np.float64), tolerance)
+        psi[k] = solver.solve((known == value).astype(np.float64))
     res = image.pixels.astype(np.float64) - v @ psi
     gram = psi @ psi.T
     dots = psi @ res

@@ -25,7 +25,7 @@ class SparsificationPath:
 
     def __post_init__(self):
         order = np.asarray(self.removal_order, dtype=np.int64).ravel()
-        if order.size != self.image_size or np.unique(order).size != self.image_size:
+        if not np.array_equal(np.sort(order), np.arange(self.image_size)):
             raise ValueError("removal order is not a permutation of all pixels")
         order.flags.writeable = False
         object.__setattr__(self, "removal_order", order)
@@ -43,7 +43,6 @@ def probabilistic_sparsify(
     keep_fraction: float = 0.02,
     target_density: float = 1.0,
     seed: int = 0,
-    tolerance: float = 1e-9,
     floor_density: float = 0.0,
 ) -> SparsificationPath:
     """Build a sparsification path by probabilistic candidate removal.
@@ -84,7 +83,7 @@ def probabilistic_sparsify(
             cand = known[cand_pos]
             rest = np.delete(known, cand_pos)
             solver = InpaintSolver(Mask(rest, n), image.width, image.height)
-            u = solver.solve(f[rest], tolerance)
+            u = solver.solve(f[rest])
             err = np.abs(u[cand] - f[cand])
             keep = min(math.ceil(keep_fraction * c), c - 1)
             n_remove = min(c - keep, known.size - target)

@@ -120,6 +120,19 @@ def test_spars_method_requires_mask(small_pgm, tmp_path):
     assert main(argv) == 2
 
 
+def test_mask_path_outside_image_is_input_error(tmp_path, capsys):
+    pgm_path, path_file = tmp_path / "in.pgm", tmp_path / "bad.txt"
+    save_pgm(pgm_path, Image(3, 1, [10, 20, 30]))
+    path_file.write_text("QSSPATH v1 N=3\n-1\n0\n1\n")
+    argv = [
+        "quantise", str(pgm_path), "--method", "ward", "--levels", "1",
+        "--mask", "%s@0.5" % path_file, "--out", str(tmp_path / "x"),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.pgm").exists()
+
+
 def test_invalid_pgm_is_input_error(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P5 trash")

@@ -113,9 +113,8 @@ class TestEnvelope:
             probabilistic_sparsify(Image(4, 4, np.arange(16)), seed=0),
             "uniform",
             [0],
-            m_grid=[255],
         )
-        env = rate_distortion_envelope(points)
+        env = rate_distortion_envelope(points[-1:])
         assert len(env) == 1
 
     def test_envelope_monotone(self, small_setup):

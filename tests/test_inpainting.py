@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qss import (
     inpaint,
     round_to_grey,
 )
+from qss import inpainting
 
 TOL = 1e-9
 
@@ -86,13 +89,39 @@ def test_empty_mask_rejected():
         inpaint(Image(2, 2, [0, 0, 0, 0]), Mask([], 4))
 
 
-def test_nonconvergence_reports_residual():
+@pytest.mark.parametrize("method", ["cg", "direct"])
+def test_nonconvergence_reports_residual(monkeypatch, method):
+    monkeypatch.setattr(inpainting, "RESIDUAL_BOUND", 1e-300)
     rng = np.random.default_rng(5)
     img = Image(16, 16, rng.integers(0, 256, 256))
     mask = Mask([0], 256)
     with pytest.raises(InpaintingError) as err:
-        inpaint(img, mask, tolerance=1e-12, max_iterations=1)
-    assert err.value.residual > 1e-12
+        inpaint(img, mask, method=method)
+    assert err.value.residual > 1e-300
+
+
+def laplacian(u, width, height):
+    """Degree-adjusted 5-point Laplacian (reflecting boundaries) of a grid."""
+    grid = u.reshape(height, width)
+    out = np.zeros_like(grid)
+    dx, dy = np.diff(grid, axis=1), np.diff(grid, axis=0)
+    out[:, :-1] += dx
+    out[:, 1:] -= dx
+    out[:-1, :] += dy
+    out[1:, :] -= dy
+    return out.ravel()
+
+
+@pytest.mark.parametrize("method", ["direct", "cg"])
+@pytest.mark.parametrize("n_known", [300, math.ceil(0.04 * 256 * 256)])
+def test_residual_bound_holds_at_paper_size(method, n_known):
+    rng = np.random.default_rng(9)
+    img = Image(256, 256, rng.integers(0, 256, 256 * 256))
+    mask = Mask(rng.choice(img.size, size=n_known, replace=False), img.size)
+    u = inpaint(img, mask, method=method)  # raises if the bound is missed
+    assert np.array_equal(u[mask.indices], img.pixels[mask.indices].astype(float))
+    unknown = np.setdiff1d(np.arange(img.size), mask.indices)
+    assert np.abs(laplacian(u, 256, 256)[unknown]).max() <= inpainting.RESIDUAL_BOUND
 
 
 def test_solver_reuse_matches_inpaint():

@@ -1,8 +1,11 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from qss import Image, PgmError, read_pgm, write_pgm
-from qss.pgm import load_pgm, save_pgm
+from qss.pgm import load_pgm, save_pgm, write_atomic
 
 
 def test_minimal_p5():
@@ -49,6 +52,20 @@ def test_parse_errors(data, match):
 def test_value_above_maxval_rejected():
     with pytest.raises(PgmError, match="maxval"):
         read_pgm(b"P2 1 1 10\n11")
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"]
+)
+def test_written_file_mode_follows_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        save_pgm(tmp_path / "out.pgm", Image(1, 1, [0]))
+        write_atomic(tmp_path / "out.txt", b"x\n")
+    finally:
+        os.umask(old)
+    for name in ("out.pgm", "out.txt"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
 
 
 def test_file_helpers(tmp_path):

@@ -233,7 +233,7 @@ def spars_reference_path(image, mask):
     steps = []
     while v.size > 1:
         delta, reps, rep_low = _pair_deltas(v, n, psi @ res, gram)
-        i, j = _argmin_pair(delta)
+        i, j = _argmin_pair(delta, np.triu(np.ones(delta.shape, dtype=bool), 1))
         r = int(reps[i, j])
         steps.append(MergeStep(int(v[i]), int(v[j]), r))
         keep, drop = (i, j) if rep_low[i, j] else (j, i)

@@ -111,3 +111,12 @@ def test_path_file_errors():
 def test_bad_permutation_rejected():
     with pytest.raises(ValueError):
         SparsificationPath(np.array([0, 0, 1, 2]), 4)
+
+
+@pytest.mark.parametrize("order", [[-1, 0, 1], [0, 1, 3], [2, 1, -3]])
+def test_indices_outside_image_rejected(order):
+    with pytest.raises(ValueError, match="permutation"):
+        SparsificationPath(np.array(order), 3)
+    text = "QSSPATH v1 N=3\n" + "".join("%d\n" % i for i in order)
+    with pytest.raises(ValueError, match="permutation"):
+        read_path_file(text)
