@@ -68,16 +68,20 @@ def read_pgm(data: bytes) -> Image:
         if len(raster) < n:
             raise PgmError("truncated pixel data: expected %d bytes" % n)
         pixels = np.frombuffer(raster, dtype=np.uint8).astype(np.int64)
+        if pixels.max() > maxval:
+            raise PgmError("pixel value exceeds maxval %d" % maxval)
     else:
         try:
             tokens, _ = _header_tokens(data, n, pos)
-            pixels = np.array([int(t) for t in tokens], dtype=np.int64)
+            samples = [int(t) for t in tokens]
         except PgmError:
             raise PgmError("truncated pixel data: expected %d samples" % n) from None
         except ValueError:
             raise PgmError("malformed pixel data: non-numeric sample") from None
-    if pixels.max() > maxval:
-        raise PgmError("pixel value exceeds maxval %d" % maxval)
+        # checked as Python ints: a huge sample must not overflow int64
+        if not all(0 <= s <= maxval for s in samples):
+            raise PgmError("pixel value outside [0, maxval %d]" % maxval)
+        pixels = np.array(samples, dtype=np.int64)
     return Image(width, height, pixels)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import Image, Mask
-from .inpainting import InpaintSolver
+from .inpainting import InpaintSolver, _snap
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,11 @@ class SparsificationPath:
 
     def __post_init__(self):
         order = np.asarray(self.removal_order, dtype=np.int64).ravel()
-        if not np.array_equal(np.sort(order), np.arange(self.image_size)):
+        # compare sizes first: a huge image_size from a file header must not
+        # allocate np.arange(image_size)
+        if order.size != self.image_size or not np.array_equal(
+            np.sort(order), np.arange(self.image_size)
+        ):
             raise ValueError("removal order is not a permutation of all pixels")
         order.flags.writeable = False
         object.__setattr__(self, "removal_order", order)
@@ -84,10 +88,11 @@ def probabilistic_sparsify(
             rest = np.delete(known, cand_pos)
             solver = InpaintSolver(Mask(rest, n), image.width, image.height)
             u = solver.solve(f[rest])
-            err = np.abs(u[cand] - f[cand])
+            err = _snap(np.abs(u[cand] - f[cand]))
             keep = min(math.ceil(keep_fraction * c), c - 1)
             n_remove = min(c - keep, known.size - target)
-            # remove lowest-error candidates first; ties toward smaller index
+            # remove lowest-error candidates first; ties (exact after the
+            # snap, whatever the solver's round-off) toward smaller index
             removed = cand[np.lexsort((cand, err))][:n_remove]
             order.extend(int(i) for i in removed)
             known = np.setdiff1d(known, removed, assume_unique=True)
@@ -111,6 +116,6 @@ def read_path_file(text: str) -> SparsificationPath:
     try:
         n = int(lines[0].split("N=")[1])
         order = np.array([int(line) for line in lines[1:]], dtype=np.int64)
-    except (IndexError, ValueError):
+    except (IndexError, ValueError, OverflowError):
         raise ValueError("malformed sparsification path file") from None
     return SparsificationPath(order, n)

@@ -133,6 +133,26 @@ def test_mask_path_outside_image_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "x.pgm").exists()
 
 
+def test_mask_path_with_huge_size_is_input_error(tmp_path, capsys):
+    pgm_path, path_file = tmp_path / "in.pgm", tmp_path / "huge.txt"
+    save_pgm(pgm_path, Image(3, 1, [10, 20, 30]))
+    path_file.write_text("QSSPATH v1 N=1000000000000000000\n0\n")
+    argv = [
+        "quantise", str(pgm_path), "--method", "ward", "--levels", "1",
+        "--mask", "%s@0.5" % path_file, "--out", str(tmp_path / "x"),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot load mask path:")
+    assert not (tmp_path / "x.pgm").exists()
+
+
+def test_negative_p2_sample_is_invalid_pgm(tmp_path, capsys):
+    bad = tmp_path / "neg.pgm"
+    bad.write_bytes(b"P2 1 1 255 -5")
+    assert main(["sparsify", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid PGM %s:" % bad)
+
+
 def test_invalid_pgm_is_input_error(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P5 trash")

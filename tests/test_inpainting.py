@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from qss import (
     DomainError,
@@ -12,7 +13,11 @@ from qss import (
     inpaint,
     round_to_grey,
 )
-from qss import inpainting
+from qss import inpainting, probabilistic_sparsify
+from qss.compression import METHODS, evaluate_grid
+from qss.sparsification import SparsificationPath
+
+from conftest import make_synthetic
 
 TOL = 1e-9
 
@@ -145,6 +150,43 @@ class TestRoundToGrey:
     def test_round_high(self):
         assert round_to_grey(np.array([254.7]), 1, 1).pixels[0] == 255
 
+    @pytest.mark.parametrize(
+        "value, grey",
+        [
+            (0.5 - 1e-12, 1),  # LU round-off around an exact .5
+            (2.5 + 1e-12, 3),
+            (0.5 - 1e-5, 0),  # a real difference, far above 2**-20
+            (255.5 - 1e-12, 255),  # snaps to 255.5, rounds to 256, clamps
+            (-0.5 + 1e-12, 0),
+        ],
+    )
+    def test_snaps_round_off_before_rounding(self, value, grey):
+        assert round_to_grey(np.array([value]), 1, 1).pixels[0] == grey
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             round_to_grey(np.array([np.nan]), 1, 1)
+
+
+def test_outputs_do_not_depend_on_the_factorisation(monkeypatch):
+    """SuperLU's default factorisation (COLAMD order, partial pivoting)
+    rounds differently from the symmetric one; after the snap, every grid
+    point and the sparsification order are the same to the bit. The 64 %
+    mask gives many exact .5 reconstruction values, and the early
+    sparsification rounds many tied errors."""
+    img = make_synthetic(48)
+    n = img.size
+    spath = SparsificationPath(np.random.default_rng(1).permutation(n), n)
+    l_grid = [n - math.ceil(d * n) for d in (0.64, 0.32, 0.01)]
+
+    def outputs():
+        points = {m: evaluate_grid(img, spath, m, l_grid) for m in METHODS}
+        order = probabilistic_sparsify(img, floor_density=0.01).removal_order
+        return points, order
+
+    points, order = outputs()
+    monkeypatch.setattr(inpainting, "_factorize", lambda A: spla.splu(A.tocsc()))
+    default_points, default_order = outputs()
+    for method in METHODS:
+        assert points[method] == default_points[method], method
+    assert np.array_equal(order, default_order)

@@ -42,6 +42,8 @@ def test_comment_inside_p5_header():
         (b"P2 2 1 255\n0", "truncated"),
         (b"P5 a 2 255\n", "header"),
         (b"P2 1 1 255\nx", "malformed"),
+        (b"P2 1 1 255 -5", "outside"),
+        (b"P2 1 1 255\n99999999999999999999", "outside"),
     ],
 )
 def test_parse_errors(data, match):

@@ -120,3 +120,15 @@ def test_indices_outside_image_rejected(order):
     text = "QSSPATH v1 N=3\n" + "".join("%d\n" % i for i in order)
     with pytest.raises(ValueError, match="permutation"):
         read_path_file(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "QSSPATH v1 N=1000000000000000000\n0\n",  # sizes differ: no arange(N)
+        "QSSPATH v1 N=1\n99999999999999999999\n",  # index past int64
+    ],
+)
+def test_path_file_with_huge_numbers_rejected(text):
+    with pytest.raises(ValueError):
+        read_path_file(text)
