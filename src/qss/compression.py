@@ -209,12 +209,3 @@ def rd_curve(
             "envelope": rate_distortion_envelope(points),
         }
     return curves
-
-
-def curve_csv(curves) -> str:
-    """CSV of the envelopes: method, ratio, mse."""
-    lines = ["method,ratio,mse"]
-    for method, data in curves.items():
-        for _, edge, best in data["envelope"]:
-            lines.append("%s,%.6g,%.6g" % (method, edge, best))
-    return "\n".join(lines) + "\n"

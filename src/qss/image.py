@@ -92,11 +92,6 @@ class Mask:
     def full(cls, image_size: int) -> "Mask":
         return cls(np.arange(image_size), image_size)
 
-    @classmethod
-    def from_bool(cls, known: np.ndarray) -> "Mask":
-        known = np.asarray(known, dtype=bool).ravel()
-        return cls(np.flatnonzero(known), known.size)
-
     def bool_array(self) -> np.ndarray:
         arr = np.zeros(self.image_size, dtype=bool)
         arr[self.indices] = True

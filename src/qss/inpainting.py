@@ -66,11 +66,11 @@ def _grid_edges(width: int, height: int):
 class InpaintSolver:
     """Inpainting for one fixed mask, reusable across many known-value vectors.
 
-    Factorises the reduced Laplace system once (sparse LU), so repeated
-    solves with different data on the same mask are cheap.
+    Factorises the reduced Laplace system once on construction (`_factorize`);
+    every solve on this mask reuses that factorisation.
     """
 
-    def __init__(self, mask: Mask, width: int, height: int, factorize: bool = True):
+    def __init__(self, mask: Mask, width: int, height: int):
         if mask.image_size != width * height:
             raise DomainError("mask size does not match image")
         if len(mask) == 0:
@@ -112,20 +112,18 @@ class InpaintSolver:
         self._B = sp.csr_matrix(
             (np.ones(brow.size), (brow, bcol)), shape=(u, len(mask))
         )
-        self._lu = None
-        if factorize and u > 0:
-            self._lu = _factorize(self._A)
+        self._lu = _factorize(self._A) if u > 0 else None
 
     @property
     def n_unknown(self) -> int:
         return int(self._unknown.size)
 
-    def solve(self, known_values: np.ndarray, method: str = "direct") -> np.ndarray:
+    def solve(self, known_values: np.ndarray) -> np.ndarray:
         """Reconstruction as a real-valued length-N vector.
 
-        `known_values` holds the data at `mask.indices` (same order). The
-        residual of every interior equation is checked against
-        `RESIDUAL_BOUND`.
+        `known_values` holds the data at `mask.indices` (same order). One
+        back-substitution through the factorisation; the residual of every
+        interior equation is checked against `RESIDUAL_BOUND`.
         """
         g = np.asarray(known_values, dtype=np.float64).ravel()
         if g.size != len(self.mask):
@@ -135,15 +133,7 @@ class InpaintSolver:
         if self.n_unknown == 0:
             return out
         b = self._B @ g
-        if method == "direct":
-            if self._lu is None:
-                self._lu = _factorize(self._A)
-            x = self._lu.solve(b)
-        elif method == "cg":
-            maxiter = 10 * self.width * self.height
-            x, _ = spla.cg(self._A, b, rtol=0.0, atol=RESIDUAL_BOUND / 2, maxiter=maxiter)
-        else:
-            raise ValueError("unknown method %r" % method)
+        x = self._lu.solve(b)
         residual = float(np.abs(b - self._A @ x).max())
         if residual > RESIDUAL_BOUND:
             raise InpaintingError(
@@ -155,15 +145,15 @@ class InpaintSolver:
         return out
 
 
-def inpaint(known: Image, mask: Mask, method: str = "cg") -> np.ndarray:
+def inpaint(known: Image, mask: Mask) -> np.ndarray:
     """Inpaint `known` from the masked pixels; returns a real-valued grid.
 
-    Values at mask indices are the input data, bit for bit. At every other
-    pixel the degree-adjusted 5-point Laplacian vanishes up to
-    `RESIDUAL_BOUND`.
+    One-shot `InpaintSolver`: values at mask indices are the input data, bit
+    for bit. At every other pixel the degree-adjusted 5-point Laplacian
+    vanishes up to `RESIDUAL_BOUND`.
     """
-    solver = InpaintSolver(mask, known.width, known.height, factorize=(method == "direct"))
-    return solver.solve(known.pixels[mask.indices], method=method)
+    solver = InpaintSolver(mask, known.width, known.height)
+    return solver.solve(known.pixels[mask.indices])
 
 
 def round_to_grey(values: np.ndarray, width: int, height: int, grey_depth: int = 256) -> Image:

@@ -65,16 +65,6 @@ class QuantisationPath:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def active_values(self, m: int) -> np.ndarray:
-        """Active grey values after the first m steps, ascending."""
-        if not 0 <= m <= len(self.steps):
-            raise PathError("scale %d out of [0, %d]" % (m, len(self.steps)))
-        active = set(self.initial_values)
-        for step in self.steps[:m]:
-            active -= {step.source_low, step.source_high}
-            active.add(step.merged_value)
-        return np.array(sorted(active), dtype=np.int64)
-
 
 def _value_map(steps, grey_depth: int, lut: np.ndarray | None = None) -> np.ndarray:
     """Lookup table composing the given merge steps over [0, grey_depth).

@@ -217,7 +217,7 @@ def test_criterion_9_rd_optimize_equals_brute_force():
                 cost = coding_cost(g, len(path.initial_values) - m, method)
                 if cost.total_bits >= budget:
                     continue
-                u = inpaint(quantised, mask, method="direct")
+                u = inpaint(quantised, mask)
                 err = mse(img, round_to_grey(u, img.width, img.height))
                 key = (-err, l, m)
                 if best is None or key > best[0]:

@@ -15,7 +15,7 @@ from qss import (
 from qss.cli import main
 from qss.compression import build_quant_path
 from qss.quantisation import apply_path, read_quant_path_file
-from qss.sparsification import read_path_file
+from qss.sparsification import read_path_file, write_path_file
 
 from conftest import make_synthetic
 
@@ -336,3 +336,53 @@ def test_candidates_is_unknown_argument(small_pgm, tmp_path, capsys, command):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --candidates 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("sparsify", ["--out"]),
+        ("quantise", ["--method", "ward", "--levels", "2", "--out"]),
+        ("scalespace", ["--method", "ward", "--report"]),
+        ("compress", ["--method", "ward", "--budget", "1e9", "--out"]),
+    ],
+)
+def test_output_in_missing_directory_is_input_error(
+    small_pgm, tmp_path, capsys, command, target
+):
+    _, pgm_path = small_pgm
+    out = tmp_path / "missing" / "out"
+    assert main([command, str(pgm_path), *target, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write %s" % out)
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [pgm_path]
+
+
+@pytest.mark.parametrize(
+    "input_name, mask_arg, message",
+    [
+        ("missing.pgm", None, "cannot read"),
+        (".", None, "cannot read"),
+        ("in.pgm", "{path}", "mask must be given as pathfile@density"),
+        ("in.pgm", "{path}@half", "bad mask density"),
+        ("in.pgm", "{path}@0", "mask density must be in (0, 1]"),
+        ("in.pgm", "{dir}/missing.txt@0.5", "cannot load mask path"),
+    ],
+)
+def test_cli_failure_is_one_error_line(
+    small_pgm, tmp_path, capsys, input_name, mask_arg, message
+):
+    img, _ = small_pgm
+    path_file = tmp_path / "path.txt"
+    path_file.write_text(write_path_file(probabilistic_sparsify(img, seed=0)))
+    argv = ["quantise", str(tmp_path / input_name), "--method", "ward",
+            "--levels", "1", "--out", str(tmp_path / "x")]
+    if mask_arg is not None:
+        argv += ["--mask", mask_arg.format(path=path_file, dir=tmp_path)]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: " + message)
+    assert out.err.count("\n") == 1
+    assert not (tmp_path / "x.pgm").exists()

@@ -16,7 +16,6 @@ from qss import (
 )
 from qss.compression import (
     build_quant_path,
-    curve_csv,
     default_l_grid,
     evaluate_grid,
     rate_distortion_envelope,
@@ -125,14 +124,13 @@ class TestEnvelope:
         assert all(b >= a for a, b in zip(mses, mses[1:]))
 
 
-def test_rd_curve_and_csv(small_setup):
+def test_rd_curve(small_setup):
     img, spath = small_setup
     curves = rd_curve(img, spath, methods=("uniform", "ward"), l_grid=[0, 32])
-    text = curve_csv(curves)
-    lines = text.strip().splitlines()
-    assert lines[0] == "method,ratio,mse"
-    assert any(line.startswith("uniform,") for line in lines[1:])
-    assert any(line.startswith("ward,") for line in lines[1:])
+    assert list(curves) == ["uniform", "ward"]
+    for data in curves.values():
+        assert data["envelope"]
+        assert data["envelope"] == rate_distortion_envelope(data["points"])
 
 
 def test_default_l_grid():

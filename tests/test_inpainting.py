@@ -70,15 +70,6 @@ def test_linearity():
     assert np.allclose(inpaint(doubled, mask), 2 * inpaint(img, mask), atol=10 * TOL)
 
 
-def test_cg_and_direct_agree():
-    rng = np.random.default_rng(4)
-    img = Image(10, 7, rng.integers(0, 256, 70))
-    mask = Mask(rng.choice(70, size=15, replace=False), 70)
-    u_cg = inpaint(img, mask, method="cg")
-    u_direct = inpaint(img, mask, method="direct")
-    assert np.allclose(u_cg, u_direct, atol=10 * TOL)
-
-
 def test_disconnected_unknown_regions():
     # column 1 fully known splits the unknowns into two independent parts
     grid = np.zeros((3, 3), dtype=int)
@@ -94,14 +85,13 @@ def test_empty_mask_rejected():
         inpaint(Image(2, 2, [0, 0, 0, 0]), Mask([], 4))
 
 
-@pytest.mark.parametrize("method", ["cg", "direct"])
-def test_nonconvergence_reports_residual(monkeypatch, method):
+def test_nonconvergence_reports_residual(monkeypatch):
     monkeypatch.setattr(inpainting, "RESIDUAL_BOUND", 1e-300)
     rng = np.random.default_rng(5)
     img = Image(16, 16, rng.integers(0, 256, 256))
     mask = Mask([0], 256)
     with pytest.raises(InpaintingError) as err:
-        inpaint(img, mask, method=method)
+        inpaint(img, mask)
     assert err.value.residual > 1e-300
 
 
@@ -117,13 +107,12 @@ def laplacian(u, width, height):
     return out.ravel()
 
 
-@pytest.mark.parametrize("method", ["direct", "cg"])
 @pytest.mark.parametrize("n_known", [300, math.ceil(0.04 * 256 * 256)])
-def test_residual_bound_holds_at_paper_size(method, n_known):
+def test_residual_bound_holds_at_paper_size(n_known):
     rng = np.random.default_rng(9)
     img = Image(256, 256, rng.integers(0, 256, 256 * 256))
     mask = Mask(rng.choice(img.size, size=n_known, replace=False), img.size)
-    u = inpaint(img, mask, method=method)  # raises if the bound is missed
+    u = inpaint(img, mask)  # raises if the bound is missed
     assert np.array_equal(u[mask.indices], img.pixels[mask.indices].astype(float))
     unknown = np.setdiff1d(np.arange(img.size), mask.indices)
     assert np.abs(laplacian(u, 256, 256)[unknown]).max() <= inpainting.RESIDUAL_BOUND
@@ -135,7 +124,7 @@ def test_solver_reuse_matches_inpaint():
     mask = Mask(rng.choice(36, size=10, replace=False), 36)
     solver = InpaintSolver(mask, 6, 6)
     a = solver.solve(img.pixels[mask.indices])
-    b = inpaint(img, mask, method="direct")
+    b = inpaint(img, mask)
     assert np.array_equal(a, b)
 
 
