@@ -2,8 +2,9 @@
 
 Subcommands: sparsify, quantise, scalespace, compress. Exit codes:
 0 success, 2 input error, 3 numerical failure, 4 infeasible budget.
-All output files are written atomically (temp file + rename); an output
-that cannot be written is an input error.
+A command writes all of its output files or none (temp files, renamed
+only once all are written); an output that cannot be written, or two
+outputs naming one file, is an input error.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ def _load_image(path) -> Image:
         raise CliError(EXIT_INPUT, "invalid PGM %s: %s" % (path, exc))
 
 
-def _write(path, data: bytes) -> None:
+def _write(outputs) -> None:
+    """Write all of a command's (path, bytes) outputs, or none of them."""
     try:
-        pgm.write_atomic(path, data)
+        pgm.write_atomic(outputs)
     except OSError as exc:
-        raise CliError(EXIT_INPUT, "cannot write %s: %s" % (path, exc.strerror))
+        raise CliError(EXIT_INPUT, "cannot write %s: %s" % (exc.filename, exc.strerror))
 
 
 def _parse_mask_arg(arg: str, image: Image) -> Mask:
@@ -86,13 +88,16 @@ def cmd_sparsify(args) -> int:
     path = sparsification.probabilistic_sparsify(
         image, args.p, args.q, args.density, args.seed
     )
-    _write(args.out, sparsification.write_path_file(path).encode())
+    outputs = [(args.out, sparsification.write_path_file(path).encode())]
     if args.preview:
         target = image.size - math.ceil(args.density * image.size)
         mask = path.mask_at(target)
         preview = np.zeros(image.size, dtype=np.int64)
         preview[mask.indices] = 255
-        _write(args.preview, pgm.write_pgm(Image(image.width, image.height, preview)))
+        outputs.append(
+            (args.preview, pgm.write_pgm(Image(image.width, image.height, preview)))
+        )
+    _write(outputs)
     return 0
 
 
@@ -104,8 +109,10 @@ def cmd_quantise(args) -> int:
     if not 1 <= args.levels <= available:
         raise CliError(EXIT_INPUT, "levels %d not in [1, %d]" % (args.levels, available))
     quantised = apply_path(image, mask, path, available - args.levels)
-    _write(args.out + ".pgm", pgm.write_pgm(quantised))
-    _write(args.out + ".qpath", write_quant_path_file(path).encode())
+    _write([
+        (args.out + ".pgm", pgm.write_pgm(quantised)),
+        (args.out + ".qpath", write_quant_path_file(path).encode()),
+    ])
     return 0
 
 
@@ -116,7 +123,7 @@ def cmd_scalespace(args) -> int:
     text, lyap = scale_space.report_csv(
         scale_space.generate(image, mask, path), mask, image
     )
-    _write(args.report, text.encode())
+    _write([(args.report, text.encode())])
     print(
         "scalespace %s: %d steps, entropy %s"
         % (method, len(path), "ok" if lyap.passed else "VIOLATED")
@@ -172,9 +179,8 @@ def cmd_compress(args) -> int:
             ("mse", point.mse),
         ]
     )
-    _write(args.out, manifest.encode())
     out_image = args.out_image or (os.path.splitext(args.out)[0] + ".pgm")
-    _write(out_image, pgm.write_pgm(rec))
+    _write([(args.out, manifest.encode()), (out_image, pgm.write_pgm(rec))])
     print("compress %s: l=%d m=%d ratio=%.2f mse=%.3f"
           % (method, point.l, point.m, point.compression_ratio, point.mse))
     return 0

@@ -6,6 +6,7 @@ the magic token.
 
 from __future__ import annotations
 
+import errno
 import os
 import tempfile
 
@@ -98,28 +99,45 @@ def load_pgm(path) -> Image:
         return read_pgm(fh.read())
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write a file atomically (temp file + rename).
+def write_atomic(outputs) -> None:
+    """Write every (path, data) pair of `outputs`, or none of them.
 
-    The file gets the mode that `open()` gives a new file, 0o666 less the
-    umask, not the 0o600 of `tempfile.mkstemp`.
+    Each data goes to a temp file in its target's directory, and the temps
+    are renamed onto their targets only once every one is written, so a
+    failure to write any of them (a target that is a directory included)
+    removes every temp and renames nothing. Two targets that resolve to
+    one file raise ValueError before any temp is made. An OSError carries
+    the target it failed on as its `filename`. Files get the mode that
+    `open()` gives a new file, 0o666 less the umask, not the 0o600 of
+    `tempfile.mkstemp`.
     """
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    outputs = [(os.fspath(path), data) for path, data in outputs]
+    real = [os.path.realpath(path) for path, _ in outputs]
+    for k, (path, _) in enumerate(outputs):
+        if real[k] in real[:k]:
+            raise ValueError("two outputs name the same file %s" % path)
+    umask = os.umask(0)  # reading the umask means setting it
+    os.umask(umask)
+    temps = []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        umask = os.umask(0)  # reading the umask means setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for path, data in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+            temps.append(tmp)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.chmod(tmp, 0o666 & ~umask)
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        for tmp in temps:  # a renamed temp no longer exists
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def save_pgm(path, image: Image) -> None:
     """Write atomically as binary P5."""
-    write_atomic(path, write_pgm(image))
+    write_atomic([(path, write_pgm(image))])

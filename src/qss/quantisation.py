@@ -120,15 +120,11 @@ def _quantised_known_values(image: Image, mask: Mask, path: QuantisationPath):
         yield _value_map((step,), image.grey_depth, lut)[values]
 
 
-def _round_half_away(x: float) -> int:
-    return int(np.sign(x) * np.floor(np.abs(x) + 0.5))
-
-
 def uniform_path(grey_depth: int = 256) -> QuantisationPath:
     """Pyramidal merging of neighbour bins over the full range {0..Q-1}.
 
     Each merged bin takes the value midway through its original-range
-    extent, rounded half away from zero.
+    extent, rounded up when the midpoint falls on a half.
     """
     q = grey_depth
     if q < 2 or q & (q - 1):
@@ -141,71 +137,47 @@ def uniform_path(grey_depth: int = 256) -> QuantisationPath:
         for i in range(0, len(bins), 2):
             lo_a, _, va = bins[i]
             _, hi_b, vb = bins[i + 1]
-            r = _round_half_away(lo_a + (hi_b - lo_a) / 2.0)
+            r = (lo_a + hi_b + 1) // 2
             steps.append(MergeStep(min(va, vb), max(va, vb), r))
             merged.append((lo_a, hi_b, r))
         bins = merged
     return QuantisationPath(tuple(range(q)), tuple(steps))
 
 
-def _pair_deltas(v, n, o_stat, o_weight):
-    """Squared-error change for every merge pair, plus bookkeeping tables.
-
-    For pair (i, j), i < j, the representative is the member with the
-    larger count (smaller value on ties); only the other member's pixels
-    move, by c = representative value - other value. The error change is
-    -2c * <residual, other> + c^2 * <other, other>, where `o_stat` holds
-    the per-cluster residual correlation and `o_weight` the self term.
-    """
-    rep_low = n[:, None] >= n[None, :]  # v ascending: ties go to the smaller value
-    r = np.where(rep_low, v[:, None], v[None, :])
-    o_v = np.where(rep_low, v[None, :], v[:, None])
-    o_s = np.where(rep_low, o_stat[None, :], o_stat[:, None])
-    o_w = np.where(rep_low, o_weight[None, :], o_weight[:, None])
-    c = (r - o_v).astype(np.float64)
-    delta = -2.0 * c * o_s + c * c * o_w
-    return delta, r, rep_low
-
-
-def _argmin_pair(delta, upper):
-    """First (row-major) upper-triangle minimum: smallest (s, t) on ties.
-
-    `upper` is a strict upper-triangle mask at least as large as `delta`.
-    """
-    q = delta.shape[0]
-    flat = int(np.argmin(np.where(upper[:q, :q], delta, np.inf)))
-    return flat // q, flat % q
-
-
 def _greedy_merge(values, counts, dots, gram):
     """Merge steps that greedily minimise the squared reconstruction error.
 
-    Cluster k has grey value `values[k]`, occurrence count `counts[k]` and
-    basis function psi_k; the reconstruction is sum_k values[k] psi_k.
-    `gram` is psi psi^T and `dots` is psi . res, res being the original
-    minus the reconstruction; the loop consumes both. Each step merges
-    the pair with the smallest error change (see `_pair_deltas`) into its
-    representative.
+    Cluster k has grey value v_k = `values[k]`, occurrence count n_k =
+    `counts[k]` and basis function psi_k; the reconstruction is
+    sum_k v_k psi_k. `gram` is psi psi^T and `dots` is psi . res, res
+    being the original minus the reconstruction; the loop consumes both.
+    Moving cluster j onto v_i changes the error by
+    move[i, j] = -2c (psi_j . res) + c^2 (psi_j . psi_j), c = v_i - v_j.
+    A merge of i < j keeps the member with the larger count (the smaller
+    value on ties) and moves the other; each step takes the pair with the
+    smallest change, the first in row-major order on ties.
     """
     v = np.asarray(values, dtype=np.int64)
     n = np.array(counts, dtype=np.float64)
-    rows = np.arange(v.size)  # each live cluster's row and column in gram
-    upper = np.triu(np.ones((v.size, v.size), dtype=bool), 1)
     steps = []
     while v.size > 1:
-        delta, reps, rep_low = _pair_deltas(v, n, dots, gram.diagonal()[rows])
-        i, j = _argmin_pair(delta, upper)
-        r = int(reps[i, j])
-        steps.append(MergeStep(int(v[i]), int(v[j]), r))
+        rep_low = n[:, None] >= n[None, :]  # v ascending: ties go to the smaller value
+        c = (v[:, None] - v[None, :]).astype(np.float64)
+        move = -2.0 * c * dots[None, :] + c * c * gram.diagonal()[None, :]
+        delta = np.where(rep_low, move, move.T)
+        delta[np.tri(v.size, dtype=bool)] = np.inf  # only pairs i < j
+        i, j = divmod(int(np.argmin(delta)), v.size)
         keep, drop = (i, j) if rep_low[i, j] else (j, i)
-        gk, gd = rows[keep], rows[drop]
+        r = int(v[keep])
+        steps.append(MergeStep(int(v[i]), int(v[j]), r))
         # res -= (r - v_drop) psi_drop, then psi_keep += psi_drop
-        dots -= float(r - v[drop]) * gram[rows, gd]
+        dots -= float(r - v[drop]) * gram[:, drop]
         dots[keep] += dots[drop]
-        gram[gk, :] += gram[gd, :]
-        gram[:, gk] += gram[:, gd]
+        gram[keep, :] += gram[drop, :]
+        gram[:, keep] += gram[:, drop]
         n[keep] += n[drop]
-        v, n, dots, rows = (np.delete(a, drop) for a in (v, n, dots, rows))
+        v, n, dots = (np.delete(a, drop) for a in (v, n, dots))
+        gram = np.delete(np.delete(gram, drop, 0), drop, 1)
     return tuple(steps)
 
 

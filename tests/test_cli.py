@@ -359,6 +359,55 @@ def test_output_in_missing_directory_is_input_error(
     assert list(tmp_path.iterdir()) == [pgm_path]
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("second", ["missing/x.pgm", "adir"])
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("compress", ["--method", "ward", "--budget", "1e9", "--out-image"]),
+        ("sparsify", ["--preview"]),
+    ],
+)
+def test_failed_second_output_writes_nothing(
+    small_pgm, tmp_path, capsys, command, args, second, existing
+):
+    _, pgm_path = small_pgm
+    (tmp_path / "adir").mkdir()
+    first = tmp_path / "first.txt"
+    if existing:
+        first.write_bytes(b"old\n")
+    argv = [command, str(pgm_path), "--out", str(first), *args, str(tmp_path / second)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write %s" % (tmp_path / second))
+    names = {"adir", "in.pgm"} | ({"first.txt"} if existing else set())
+    assert {p.name for p in tmp_path.iterdir()} == names
+    assert list((tmp_path / "adir").iterdir()) == []
+    if existing:
+        assert first.read_bytes() == b"old\n"
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("compress", ["--method", "ward", "--budget", "1e9", "--out", "r.pgm"]),
+        ("compress", ["--method", "ward", "--budget", "1e9", "--out", "r.txt",
+                      "--out-image", "{dir}/r.txt"]),
+        ("sparsify", ["--out", "x.pgm", "--preview", "./x.pgm"]),
+    ],
+    ids=["default-image-name", "out-image", "preview"],
+)
+def test_outputs_naming_one_file_is_input_error(
+    small_pgm, tmp_path, capsys, monkeypatch, command, args
+):
+    _, pgm_path = small_pgm
+    monkeypatch.chdir(tmp_path)
+    argv = [command, str(pgm_path), *(a.format(dir=tmp_path) for a in args)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: two outputs name the same file")
+    assert list(tmp_path.iterdir()) == [pgm_path]
+
+
 @pytest.mark.parametrize(
     "input_name, mask_arg, message",
     [

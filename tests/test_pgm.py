@@ -63,7 +63,7 @@ def test_written_file_mode_follows_umask(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
         save_pgm(tmp_path / "out.pgm", Image(1, 1, [0]))
-        write_atomic(tmp_path / "out.txt", b"x\n")
+        write_atomic([(tmp_path / "out.txt", b"x\n")])
     finally:
         os.umask(old)
     for name in ("out.pgm", "out.txt"):

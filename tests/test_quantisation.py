@@ -18,12 +18,7 @@ from qss import (
     uniform_path,
     ward_path,
 )
-from qss.quantisation import (
-    _argmin_pair,
-    _pair_deltas,
-    read_quant_path_file,
-    write_quant_path_file,
-)
+from qss.quantisation import read_quant_path_file, write_quant_path_file
 
 from conftest import make_synthetic
 
@@ -233,11 +228,19 @@ def spars_reference_path(image, mask):
     res = image.pixels.astype(np.float64) - v @ psi
     steps = []
     while v.size > 1:
-        delta, reps, rep_low = _pair_deltas(v, n, psi @ res, gram)
-        i, j = _argmin_pair(delta, np.triu(np.ones(delta.shape, dtype=bool), 1))
-        r = int(reps[i, j])
+        dots = psi @ res
+        best = None
+        for i in range(v.size):
+            for j in range(i + 1, v.size):
+                # keep the larger count, the smaller value on ties
+                keep, drop = (i, j) if n[i] >= n[j] else (j, i)
+                c = float(v[keep] - v[drop])
+                cost = -2.0 * c * dots[drop] + c * c * gram[drop]
+                if best is None or cost < best[0]:  # the first minimum wins
+                    best = (cost, i, j, keep, drop)
+        _, i, j, keep, drop = best
+        r = int(v[keep])
         steps.append(MergeStep(int(v[i]), int(v[j]), r))
-        keep, drop = (i, j) if rep_low[i, j] else (j, i)
         res -= float(r - v[drop]) * psi[drop]
         gram[keep] += gram[drop] + 2.0 * (psi[drop] @ psi[keep])
         psi[keep] += psi[drop]
