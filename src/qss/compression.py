@@ -9,18 +9,22 @@ they are identical for all quantisation methods.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .image import (
-    DomainError, Image, LevelPartition, Mask, entropy, level_partition, mse,
+    DomainError, Image, Mask, _histogram, entropy, level_partition, mse,
 )
 from .inpainting import InpaintSolver, round_to_grey
 from .quantisation import (
     QuantisationPath,
+    _level_basis,
+    _path_from_basis,
     _quantised_known_values,
+    _value_map,
     sparsification_quant_path,
     uniform_path,
     ward_path,
@@ -79,7 +83,7 @@ def coding_cost(known_values: np.ndarray, q_levels: int, method: str) -> CostMod
     values = np.asarray(known_values).ravel()
     if values.size == 0:
         raise DomainError("empty known data")
-    per_value = entropy(LevelPartition(*np.unique(values, return_counts=True)))
+    per_value = entropy(_histogram(values))
     overhead = 8.0 if method == "uniform" else 8.0 * q_levels
     return CostModel(method, per_value, int(values.size), overhead)
 
@@ -112,32 +116,97 @@ def evaluate_grid(
     """All rate-distortion points of one method over the (l, m) grid.
 
     Every quantisation scale m = 0 ... len(path) is evaluated at each l.
-
     Points over the bit budget are returned with mse = NaN (their
     reconstruction is never computed). Committed paths are rebuilt per l
     since the known values change with the mask. Reconstructions are not
     kept: `on_reconstruction(point, image)`, if given, sees each one as it
     is made.
+
+    Inpainting is linear in the known data, so no point needs a solve of
+    its own. At each l the costs of all m come first, in one pass. Then
+    one factorisation of the mask and one block solve give the harmonic
+    basis psi_c of every cluster c active at the first affordable m (every
+    occurring known value without a budget), and that reconstruction is
+    sum_c c psi_c. Each later merge step (a, b -> r) adds
+    (r - a) psi_a + (r - b) psi_b and sets psi_r = psi_a + psi_b. The
+    sparsification method builds its path from the basis of all occurring
+    values and sums it into clusters, so its mask is factorised once.
+    Every evaluated reconstruction passes the residual check of a solve
+    before `round_to_grey` and `mse`.
     """
     points = []
     for l in l_grid:
         mask = spars_path.mask_at(l)
-        solver = InpaintSolver(mask, image.width, image.height)
-        path = build_quant_path(image, mask, method)
-        for m, g in enumerate(_quantised_known_values(image, mask, path)):
-            q_levels = len(path.initial_values) - m
-            cost = coding_cost(g, q_levels, method)
-            ratio = 8.0 * image.size / cost.total_bits
-            rec, err = None, math.nan
-            if cost.total_bits < budget:
-                u = solver.solve(g)
-                rec = round_to_grey(u, image.width, image.height, image.grey_depth)
-                err = mse(image, rec)
-            point = RateDistortionPoint(l, m, q_levels, err, ratio, cost)
-            points.append(point)
-            if rec is not None and on_reconstruction is not None:
-                on_reconstruction(point, rec)
+        points.extend(_evaluate_mask(image, mask, l, method, budget, on_reconstruction))
     return points
+
+
+def _evaluate_mask(image, mask, l, method, budget, on_reconstruction):
+    """The points of `evaluate_grid` at mask scale l, in ascending m."""
+    known = image.pixels[mask.indices]
+    solver = psi = None
+    if method == "sparsification":
+        solver = InpaintSolver(mask, image.width, image.height)
+        part = level_partition(image, mask)
+        psi = _level_basis(solver, known, part.values)
+        path = _path_from_basis(image, part, psi)
+    else:
+        path = build_quant_path(image, mask, method)
+    levels = len(path.initial_values)
+    points = []
+    for m, g in enumerate(_quantised_known_values(image, mask, path)):
+        cost = coding_cost(g, levels - m, method)
+        ratio = 8.0 * image.size / cost.total_bits
+        points.append(RateDistortionPoint(l, m, levels - m, math.nan, ratio, cost))
+    first = next((p.m for p in points if p.total_bits < budget), None)
+    if first is None:
+        return points
+
+    lut = _value_map(path.steps[:first], image.grey_depth)
+    clusters = np.unique(lut[known])
+    if psi is None:
+        solver = InpaintSolver(mask, image.width, image.height)
+        basis = _level_basis(solver, lut[known], clusters)
+    elif first == 0:
+        basis = psi
+    else:  # sum the level basis into the clusters active at `first`
+        basis = np.zeros((clusters.size, image.size))
+        np.add.at(basis, np.searchsorted(clusters, lut[part.values]), psi)
+    del psi  # only `basis` is read from here on
+    known_at = itertools.islice(_quantised_known_values(image, mask, path), first, None)
+    superposed = _superpositions(clusters, basis, path.steps[first:])
+    for point, g, rec in zip(points[first:], known_at, superposed):
+        if point.total_bits >= budget:
+            continue
+        solver.check(g, rec)
+        rec_image = round_to_grey(rec, image.width, image.height, image.grey_depth)
+        points[point.m] = replace(point, mse=mse(image, rec_image))
+        if on_reconstruction is not None:
+            on_reconstruction(points[point.m], rec_image)
+    return points
+
+
+def _superpositions(clusters, basis, steps):
+    """Reconstructions sum_c c psi_c at the scale of `clusters`, then after
+    each merge step of `steps`.
+
+    `basis` holds psi_c, one row per cluster value, and is consumed. A step
+    (a, b -> r) adds (r - a) psi_a + (r - b) psi_b and sets
+    psi_r = psi_a + psi_b, at O(N); a value without known pixels has no
+    row. Yields one array, updated in place.
+    """
+    row = {int(c): k for k, c in enumerate(clusters)}
+    rec = clusters.astype(np.float64) @ basis
+    yield rec
+    for step in steps:
+        members = [(row.pop(v), v) for v in (step.source_low, step.source_high) if v in row]
+        for k, value in members:
+            rec += float(step.merged_value - value) * basis[k]
+        if len(members) == 2:
+            basis[members[0][0]] += basis[members[1][0]]
+        if members:
+            row[step.merged_value] = members[0][0]
+        yield rec
 
 
 def rd_optimize(

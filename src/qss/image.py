@@ -135,9 +135,14 @@ def level_partition(image: Image, mask: Mask | None = None) -> LevelPartition:
         if len(mask) == 0:
             raise DomainError("empty domain")
         vals = image.pixels[mask.indices]
-    counts = np.bincount(vals)
-    values = np.flatnonzero(counts)
-    return LevelPartition(values, counts[values])
+    return _histogram(vals)
+
+
+def _histogram(values: np.ndarray) -> LevelPartition:
+    """Histogram of non-negative integer values, by one `np.bincount`."""
+    counts = np.bincount(values)
+    occurring = np.flatnonzero(counts)
+    return LevelPartition(occurring, counts[occurring])
 
 
 def entropy(partition: LevelPartition) -> float:

@@ -17,6 +17,9 @@ from .image import DomainError, Image, Mask
 # Largest absolute residual any solve may leave in an equation.
 RESIDUAL_BOUND = 1e-9
 
+# Right-hand sides per back-substitution when a block of known data is solved.
+_BLOCK_COLUMNS = 8
+
 
 def _snap(x: np.ndarray) -> np.ndarray:
     """Round to the nearest multiple of 2**-20.
@@ -119,21 +122,37 @@ class InpaintSolver:
         return int(self._unknown.size)
 
     def solve(self, known_values: np.ndarray) -> np.ndarray:
-        """Reconstruction as a real-valued length-N vector.
+        """Reconstruction from the data at `mask.indices` (same order).
 
-        `known_values` holds the data at `mask.indices` (same order). One
-        back-substitution through the factorisation; the residual of every
-        interior equation is checked against `RESIDUAL_BOUND`.
+        A length-len(mask) vector gives a length-N vector; a (k, len(mask))
+        block gives its k reconstructions as a (k, N) array, back-substituted
+        `_BLOCK_COLUMNS` right-hand sides at a time through the one
+        factorisation. The residual of every interior equation of every
+        column is checked against `RESIDUAL_BOUND`.
         """
-        g = np.asarray(known_values, dtype=np.float64).ravel()
-        if g.size != len(self.mask):
+        g = np.asarray(known_values, dtype=np.float64)
+        if g.ndim not in (1, 2) or g.shape[-1] != len(self.mask):
             raise DomainError("known values do not match mask size")
-        out = np.empty(self.width * self.height, dtype=np.float64)
-        out[self.mask.indices] = g
-        if self.n_unknown == 0:
-            return out
-        b = self._B @ g
-        x = self._lu.solve(b)
+        block = g.reshape(-1, len(self.mask))
+        out = np.empty((len(block), self.width * self.height), dtype=np.float64)
+        out[:, self.mask.indices] = block
+        if self.n_unknown:
+            for start in range(0, len(block), _BLOCK_COLUMNS):
+                rows = slice(start, start + _BLOCK_COLUMNS)
+                b = self._B @ block[rows].T
+                x = self._lu.solve(b)
+                self._check_residual(b, x)
+                out[rows, self._unknown] = x.T
+        return out.reshape(g.shape[:-1] + out.shape[1:])
+
+    def check(self, known_values: np.ndarray, reconstruction: np.ndarray) -> None:
+        """Raise `InpaintingError` unless the length-N `reconstruction` solves
+        the system for `known_values` within `RESIDUAL_BOUND`."""
+        if self.n_unknown:
+            b = self._B @ np.asarray(known_values, dtype=np.float64)
+            self._check_residual(b, reconstruction[self._unknown])
+
+    def _check_residual(self, b: np.ndarray, x: np.ndarray) -> None:
         residual = float(np.abs(b - self._A @ x).max())
         if residual > RESIDUAL_BOUND:
             raise InpaintingError(
@@ -141,8 +160,6 @@ class InpaintSolver:
                 % (residual, RESIDUAL_BOUND),
                 residual,
             )
-        out[self._unknown] = x
-        return out
 
 
 def inpaint(known: Image, mask: Mask) -> np.ndarray:

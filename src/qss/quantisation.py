@@ -204,11 +204,14 @@ def sparsification_quant_path(image: Image, mask: Mask) -> QuantisationPath:
     Each candidate merge quantises the known data and scores the MSE of
     its inpainting against the full original image. Homogeneous diffusion
     is linear in the known data, so reconstructions are superpositions of
-    per-level-set harmonic basis functions, solved once per cluster; a
-    candidate is then a rank-one update of the residual. The merge loop
-    needs only the Gram matrix of the basis functions and their inner
-    products with the residual, so it costs O(levels^2) per step whatever
-    the image size. With a full mask this reduces to Ward clustering.
+    per-level-set harmonic basis functions, all found by one block solve
+    of the level indicators; a candidate is then a rank-one update of the
+    residual. The merge loop needs only the Gram matrix of the basis
+    functions and their inner products with the residual, so it costs
+    O(levels^2) per step whatever the image size. With a full mask this
+    reduces to Ward clustering. `evaluate_grid` builds the same path from
+    the same basis and reconstructs every scale from it, so each mask it
+    evaluates is factorised and solved for once.
     """
     if len(mask) == 0:
         raise DomainError("empty mask")
@@ -218,16 +221,28 @@ def sparsification_quant_path(image: Image, mask: Mask) -> QuantisationPath:
         return QuantisationPath(initial, ())
 
     solver = InpaintSolver(mask, image.width, image.height)
+    psi = _level_basis(solver, image.pixels[mask.indices], part.values)
+    return _path_from_basis(image, part, psi)
+
+
+def _level_basis(solver: InpaintSolver, known: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Harmonic basis of the known data's level sets, one row per value.
+
+    Row k, psi_k, is the inpainting of the indicator of
+    `known == values[k]`; all rows come from one block solve. When
+    `values` holds every value of `known`, the inpainting of `known` is
+    sum_k values[k] psi_k, by linearity.
+    """
+    return solver.solve((known[None, :] == values[:, None]).astype(np.float64))
+
+
+def _path_from_basis(image: Image, part: LevelPartition, psi: np.ndarray) -> QuantisationPath:
+    """Sparsification quantisation path of the known-data histogram `part`,
+    whose level basis is `psi` (see `_level_basis`)."""
     v = part.values.astype(np.int64)
-    known = image.pixels[mask.indices]
-    psi = np.empty((v.size, image.size), dtype=np.float64)
-    for k, value in enumerate(v):
-        psi[k] = solver.solve((known == value).astype(np.float64))
     res = image.pixels.astype(np.float64) - v @ psi
-    gram = psi @ psi.T
-    dots = psi @ res
-    del psi, res
-    return QuantisationPath(initial, _greedy_merge(v, part.counts, dots, gram))
+    steps = _greedy_merge(v, part.counts, psi @ res, psi @ psi.T)
+    return QuantisationPath(tuple(part.values), steps)
 
 
 QPATH_MAGIC = "QSSQPATH v1"

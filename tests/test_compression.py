@@ -7,20 +7,30 @@ from qss import (
     DomainError,
     Image,
     InfeasibleBudgetError,
+    InpaintSolver,
     Mask,
+    RateDistortionPoint,
     coding_cost,
+    entropy,
+    inpainting,
+    level_partition,
     mse,
     probabilistic_sparsify,
     rd_curve,
     rd_optimize,
+    round_to_grey,
 )
 from qss.compression import (
+    METHODS,
     build_quant_path,
     default_l_grid,
     evaluate_grid,
     rate_distortion_envelope,
 )
 from qss.quantisation import apply_path
+from qss.sparsification import SparsificationPath
+
+from conftest import make_synthetic
 
 
 class TestCodingCost:
@@ -47,6 +57,14 @@ class TestCodingCost:
             coding_cost(np.array([1]), 0, "uniform")
         with pytest.raises(ValueError):
             coding_cost(np.array([1]), 1, "median-cut")
+
+    def test_entropy_matches_level_partition(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            img = Image(16, 16, rng.integers(0, int(rng.integers(1, 257)), 256))
+            mask = Mask(rng.choice(256, size=int(rng.integers(1, 257)), replace=False), 256)
+            cost = coding_cost(img.pixels[mask.indices], 1, "uniform")
+            assert cost.per_value_bits == entropy(level_partition(img, mask))
 
     def test_cost_monotone_in_m(self):
         rng = np.random.default_rng(0)
@@ -138,3 +156,59 @@ def test_default_l_grid():
     assert all(0 <= l < 4096 for l in grid)
     assert grid == sorted(grid)
     assert 4096 - math.ceil(0.08 * 4096) in grid
+
+
+@pytest.fixture(scope="module")
+def synthetic_grid():
+    img = make_synthetic(32)
+    spath = SparsificationPath(np.random.default_rng(3).permutation(img.size), img.size)
+    return img, spath, default_l_grid(img.size)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("target", [None, 20])
+def test_evaluate_grid_matches_direct_solves(synthetic_grid, method, target):
+    """Superposed reconstructions give every point a direct solve gives."""
+    img, spath, l_grid = synthetic_grid
+    budget = math.inf if target is None else 8.0 * img.size / target
+    seen = []
+    points = evaluate_grid(img, spath, method, l_grid, budget,
+                           lambda point, rec: seen.append((point, rec)))
+    expected, expected_seen = [], []
+    for l in l_grid:
+        mask = spath.mask_at(l)
+        path = build_quant_path(img, mask, method)
+        solver = InpaintSolver(mask, img.width, img.height)
+        for m in range(len(path) + 1):
+            g = apply_path(img, mask, path, m).pixels[mask.indices]
+            q_levels = len(path.initial_values) - m
+            cost = coding_cost(g, q_levels, method)
+            err, rec = math.nan, None
+            if cost.total_bits < budget:
+                rec = round_to_grey(solver.solve(g), img.width, img.height)
+                err = mse(img, rec)
+            ratio = 8.0 * img.size / cost.total_bits
+            point = RateDistortionPoint(l, m, q_levels, err, ratio, cost)
+            expected.append(point)
+            if rec is not None:
+                expected_seen.append((point, rec))
+    assert [repr(p) for p in points] == [repr(p) for p in expected]
+    assert [repr(p) for p, _ in seen] == [repr(p) for p, _ in expected_seen]
+    assert all(rec == want for (_, rec), (_, want) in zip(seen, expected_seen))
+    if target is not None:
+        assert 0 < len(seen) < len(points)
+
+
+def test_sparsification_factorises_each_mask_once(synthetic_grid, monkeypatch):
+    img, spath, l_grid = synthetic_grid
+    sizes = []
+    factorize = inpainting._factorize
+
+    def counting(A):
+        sizes.append(A.shape[0])
+        return factorize(A)
+
+    monkeypatch.setattr(inpainting, "_factorize", counting)
+    rd_curve(img, spath, methods=("sparsification",), l_grid=l_grid)
+    # one factorisation per mask with unknown pixels; its size is l
+    assert sorted(sizes) == [l for l in l_grid if l > 0]

@@ -128,6 +128,40 @@ def test_solver_reuse_matches_inpaint():
     assert np.array_equal(a, b)
 
 
+class TestBlockSolve:
+    @pytest.fixture
+    def setup(self):
+        rng = np.random.default_rng(7)
+        mask = Mask(rng.choice(400, size=30, replace=False), 400)
+        # 19 rows: two full chunks of 8 right-hand sides and a partial one
+        block = rng.integers(0, 256, (19, len(mask))).astype(float)
+        return mask, block
+
+    def test_agrees_with_single_solves(self, setup):
+        mask, block = setup
+        solver = InpaintSolver(mask, 20, 20)
+        rows = solver.solve(block)
+        assert rows.shape == (19, 400)
+        for g, row in zip(block, rows):
+            single = solver.solve(g)
+            assert np.abs(row - single).max() <= 1e-12
+            assert round_to_grey(row, 20, 20) == round_to_grey(single, 20, 20)
+
+    def test_residual_checked_for_every_block(self, setup, monkeypatch):
+        mask, block = setup
+        solver = InpaintSolver(mask, 20, 20)
+        monkeypatch.setattr(inpainting, "RESIDUAL_BOUND", 1e-300)
+        with pytest.raises(InpaintingError) as err:
+            solver.solve(block)
+        assert err.value.residual > 1e-300
+
+    def test_wrong_width_rejected(self, setup):
+        mask, block = setup
+        solver = InpaintSolver(mask, 20, 20)
+        with pytest.raises(DomainError):
+            solver.solve(block[:, :-1])
+
+
 class TestRoundToGrey:
     def test_half_away(self):
         img = round_to_grey(np.array([24.5]), 1, 1)
