@@ -8,6 +8,8 @@ side, leaving a sparse SPD system.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -66,11 +68,25 @@ def _grid_edges(width: int, height: int):
     return np.concatenate([h_a, v_a]), np.concatenate([h_b, v_b])
 
 
+@functools.lru_cache(maxsize=2)
+def _grid_laplacian(width: int, height: int) -> sp.csr_matrix:
+    """Laplacian of the whole grid: the degree on the diagonal, -1 per
+    neighbour. Row p is the equation of pixel p whenever p is unknown."""
+    n = width * height
+    ea, eb = _grid_edges(width, height)
+    deg = np.bincount(np.concatenate([ea, eb]), minlength=n).astype(np.float64)
+    rows = np.concatenate([ea, eb, np.arange(n)])
+    cols = np.concatenate([eb, ea, np.arange(n)])
+    vals = np.concatenate([-np.ones(2 * ea.size), deg])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
 class InpaintSolver:
     """Inpainting for one fixed mask, reusable across many known-value vectors.
 
     Factorises the reduced Laplace system once on construction (`_factorize`);
-    every solve on this mask reuses that factorisation.
+    every solve on this mask, and every bordered solve on a subset of it,
+    reuses that factorisation.
     """
 
     def __init__(self, mask: Mask, width: int, height: int):
@@ -81,45 +97,25 @@ class InpaintSolver:
         self.mask = mask
         self.width = width
         self.height = height
-        n = width * height
-        known = mask.bool_array()
-        self._unknown = np.flatnonzero(~known)
-        u = self._unknown.size
+        self._unknown = np.flatnonzero(~mask.bool_array())
 
-        # local numbering for unknowns and for mask entries
-        local = np.full(n, -1, dtype=np.int64)
-        local[self._unknown] = np.arange(u)
-        known_local = np.full(n, -1, dtype=np.int64)
-        known_local[mask.indices] = np.arange(len(mask))
-
-        ea, eb = _grid_edges(width, height)
-        deg = np.zeros(n, dtype=np.int64)
-        np.add.at(deg, ea, 1)
-        np.add.at(deg, eb, 1)
-
-        a_unk = ~known[ea]
-        b_unk = ~known[eb]
-        uu = a_unk & b_unk
-        uk = a_unk & ~b_unk
-        ku = ~a_unk & b_unk
-
-        diag = deg[self._unknown].astype(np.float64)
-        rows = np.concatenate([local[ea[uu]], local[eb[uu]], np.arange(u)])
-        cols = np.concatenate([local[eb[uu]], local[ea[uu]], np.arange(u)])
-        vals = np.concatenate([-np.ones(2 * uu.sum()), diag])
-        self._A = sp.csr_matrix((vals, (rows, cols)), shape=(u, u))
-
-        # unknown x known coupling: rhs = B @ known_values
-        brow = np.concatenate([local[ea[uk]], local[eb[ku]]])
-        bcol = np.concatenate([known_local[eb[uk]], known_local[ea[ku]]])
-        self._B = sp.csr_matrix(
-            (np.ones(brow.size), (brow, bcol)), shape=(u, len(mask))
-        )
-        self._lu = _factorize(self._A) if u > 0 else None
+        # the equations of the unknowns: A on the unknowns, and the coupling
+        # to the known pixels moved to the right-hand side, rhs = B @ values
+        rows = _grid_laplacian(width, height)[self._unknown]
+        self._A = rows[:, self._unknown]
+        self._B = -rows[:, mask.indices]
+        self._lu = _factorize(self._A) if self._unknown.size else None
+        # mask pixel -> A^-1 B_e, the unknowns' response to unit data at e
+        self._border: dict[int, np.ndarray] = {}
 
     @property
     def n_unknown(self) -> int:
         return int(self._unknown.size)
+
+    @property
+    def border_columns(self) -> int:
+        """Border columns back-substituted and kept so far."""
+        return len(self._border)
 
     def solve(self, known_values: np.ndarray) -> np.ndarray:
         """Reconstruction from the data at `mask.indices` (same order).
@@ -141,19 +137,70 @@ class InpaintSolver:
                 rows = slice(start, start + _BLOCK_COLUMNS)
                 b = self._B @ block[rows].T
                 x = self._lu.solve(b)
-                self._check_residual(b, x)
+                self._check_residual(b - self._A @ x)
                 out[rows, self._unknown] = x.T
         return out.reshape(g.shape[:-1] + out.shape[1:])
+
+    def solve_bordered(self, reconstruction: np.ndarray, rest: Mask) -> np.ndarray:
+        """Reconstruction from the pixels of `rest`, a subset of `mask`, alone.
+
+        `reconstruction` is this solver's length-N solution from its whole
+        mask; it supplies the data at `rest`. The border E = mask \\ rest
+        joins this solver's unknowns, called 0 here. With W = A_00^-1 B_E,
+        their response to unit data at E, the change d = x_E - u_E solves
+        the dense |E| x |E| Schur complement system
+
+            (A_EE + A_E0 W) d = -(L u)_E,
+
+        L the full-grid Laplacian, and x_0 = u_0 + W d. Each column of W is
+        back-substituted through the one factorisation the first time its
+        pixel is in the border, then kept (`border_columns` counts them).
+        Every equation of the bordered system is checked against
+        `RESIDUAL_BOUND`.
+        """
+        u = np.asarray(reconstruction, dtype=np.float64)
+        n = self.width * self.height
+        if u.shape != (n,) or rest.image_size != n:
+            raise DomainError("reconstruction or mask does not match image")
+        if len(rest) == 0:
+            raise DomainError("empty mask")
+        border = np.setdiff1d(self.mask.indices, rest.indices, assume_unique=True)
+        if border.size + len(rest) != len(self.mask):
+            raise DomainError("mask is not a subset of the solver's mask")
+        new = [e for e in border.tolist() if e not in self._border]
+        for start in range(0, len(new), _BLOCK_COLUMNS):
+            pixels = new[start : start + _BLOCK_COLUMNS]
+            b = self._B[:, np.searchsorted(self.mask.indices, pixels)].toarray()
+            w = self._lu.solve(b) if self.n_unknown else b
+            self._border.update(zip(pixels, w.T))
+        columns = [self._border[e] for e in border.tolist()]
+        lap = _grid_laplacian(self.width, self.height)
+        rows = lap[border]
+        a_e0 = rows[:, self._unknown]
+        near = np.unique(a_e0.indices)  # the unknowns next to the border
+        w_near = np.array([col[near] for col in columns]).reshape(border.size, near.size)
+        s = rows[:, border].toarray() + a_e0[:, near] @ w_near.T
+        d = np.linalg.solve(s, -(rows @ u))
+        x = u.copy()
+        x[border] += d
+        x_0 = x[self._unknown]
+        for d_e, col in zip(d, columns):  # unstacked: no copy of the kept columns
+            x_0 += d_e * col
+        x[self._unknown] = x_0
+        unknown = np.concatenate([self._unknown, border])
+        if unknown.size:
+            self._check_residual((lap @ x)[unknown])
+        return x
 
     def check(self, known_values: np.ndarray, reconstruction: np.ndarray) -> None:
         """Raise `InpaintingError` unless the length-N `reconstruction` solves
         the system for `known_values` within `RESIDUAL_BOUND`."""
         if self.n_unknown:
             b = self._B @ np.asarray(known_values, dtype=np.float64)
-            self._check_residual(b, reconstruction[self._unknown])
+            self._check_residual(b - self._A @ reconstruction[self._unknown])
 
-    def _check_residual(self, b: np.ndarray, x: np.ndarray) -> None:
-        residual = float(np.abs(b - self._A @ x).max())
+    def _check_residual(self, r: np.ndarray) -> None:
+        residual = float(np.abs(r).max())
         if residual > RESIDUAL_BOUND:
             raise InpaintingError(
                 "inpainting did not converge: residual %.3e > %.3e"

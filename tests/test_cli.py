@@ -306,6 +306,25 @@ def test_scalespace_failed_entropy_check_exits_3(small_pgm, tmp_path, monkeypatc
     assert [row.split(",")[5] for row in rows[:3]] == ["1", "0", "0"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sparsify", "{pgm}", "--out", "{dir}/path.txt"],
+        ["compress", "{pgm}", "--method", "ward", "--ratio", "10", "--out", "{dir}/m.txt"],
+    ],
+)
+def test_failed_residual_check_exits_3(small_pgm, tmp_path, monkeypatch, capsys, argv):
+    from qss import inpainting
+
+    _, pgm_path = small_pgm
+    monkeypatch.setattr(inpainting, "RESIDUAL_BOUND", 1e-300)
+    assert main([a.format(pgm=pgm_path, dir=tmp_path) for a in argv]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("error: inpainting did not converge: residual ")
+    assert out.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
+
+
 @pytest.mark.parametrize("ratio", ["0", "-3", "nan", "inf", "-inf"])
 def test_compress_rejects_bad_ratio(small_pgm, tmp_path, capsys, ratio):
     _, pgm_path = small_pgm

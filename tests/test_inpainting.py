@@ -118,6 +118,15 @@ def test_residual_bound_holds_at_paper_size(n_known):
     assert np.abs(laplacian(u, 256, 256)[unknown]).max() <= inpainting.RESIDUAL_BOUND
 
 
+def test_bordered_residual_bound_holds_at_paper_size():
+    # 256^2 at 1 %: the 64 border pixels join 64880 unknowns of the kept solver
+    rng = np.random.default_rng(10)
+    img = Image(256, 256, rng.integers(0, 256, 256 * 256))
+    kept = Mask(rng.choice(img.size, size=math.ceil(0.01 * img.size), replace=False), img.size)
+    rest = Mask(np.delete(kept.indices, rng.choice(len(kept), size=64, replace=False)), img.size)
+    TestBorderedSolve.compare(img, kept, rest)
+
+
 def test_solver_reuse_matches_inpaint():
     rng = np.random.default_rng(6)
     img = Image(6, 6, rng.integers(0, 256, 36))
@@ -160,6 +169,66 @@ class TestBlockSolve:
         solver = InpaintSolver(mask, 20, 20)
         with pytest.raises(DomainError):
             solver.solve(block[:, :-1])
+
+
+class TestBorderedSolve:
+    """`solve_bordered` on a kept solver against a fresh solver on `rest`."""
+
+    @staticmethod
+    def compare(img, kept, rest):
+        solver = InpaintSolver(kept, img.width, img.height)
+        u = solver.solve_bordered(solver.solve(img.pixels[kept.indices]), rest)
+        fresh = inpaint(img, rest)
+        assert np.array_equal(u[rest.indices], fresh[rest.indices])
+        assert np.array_equal(inpainting._snap(u), inpainting._snap(fresh))
+        unknown = np.setdiff1d(np.arange(img.size), rest.indices)
+        residual = np.abs(laplacian(u, img.width, img.height)[unknown])
+        assert np.all(residual <= inpainting.RESIDUAL_BOUND)
+        return solver
+
+    @pytest.fixture
+    def img(self):
+        return Image(24, 24, np.random.default_rng(11).integers(0, 256, 576))
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])  # full: no unknowns
+    @pytest.mark.parametrize("border", [0, 1, 64])
+    def test_agrees_with_fresh_solver(self, img, density, border):
+        rng = np.random.default_rng(border)
+        kept = Mask(rng.choice(img.size, size=round(density * img.size), replace=False), img.size)
+        rest = Mask(np.delete(kept.indices, rng.choice(len(kept), size=border, replace=False)),
+                    img.size)
+        solver = self.compare(img, kept, rest)
+        assert solver.border_columns == border
+
+    def test_columns_are_kept_across_calls(self, img):
+        rng = np.random.default_rng(12)
+        kept = Mask(rng.choice(img.size, size=200, replace=False), img.size)
+        solver = InpaintSolver(kept, 24, 24)
+        base = solver.solve(img.pixels[kept.indices])
+        order = rng.permutation(kept.indices)
+        for border in (10, 20, 15):
+            rest = Mask(order[border:], img.size)
+            u = solver.solve_bordered(base, rest)
+            assert np.array_equal(inpainting._snap(u), inpainting._snap(inpaint(img, rest)))
+        assert solver.border_columns == 20
+
+    def test_residual_checked(self, img, monkeypatch):
+        kept = Mask(np.arange(0, img.size, 3), img.size)
+        solver = InpaintSolver(kept, 24, 24)
+        base = solver.solve(img.pixels[kept.indices])
+        monkeypatch.setattr(inpainting, "RESIDUAL_BOUND", 1e-300)
+        with pytest.raises(InpaintingError) as err:
+            solver.solve_bordered(base, Mask(kept.indices[5:], img.size))
+        assert err.value.residual > 1e-300
+
+    def test_rest_outside_mask_rejected(self, img):
+        kept = Mask(np.arange(0, img.size, 2), img.size)
+        solver = InpaintSolver(kept, 24, 24)
+        base = solver.solve(img.pixels[kept.indices])
+        with pytest.raises(DomainError):
+            solver.solve_bordered(base, Mask([0, 1], img.size))
+        with pytest.raises(DomainError):
+            solver.solve_bordered(base[:-1], Mask([0, 2], img.size))
 
 
 class TestRoundToGrey:

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qss import Image, Mask, probabilistic_sparsify
+from qss import Image, InpaintingError, InpaintSolver, Mask, inpainting, probabilistic_sparsify
+from qss.inpainting import _snap
 from qss.sparsification import (
     SparsificationPath,
     read_path_file,
     write_path_file,
 )
+
+from conftest import make_synthetic
 
 
 def small_image(seed=0, w=6, h=6, levels=32):
@@ -132,3 +135,63 @@ def test_indices_outside_image_rejected(order):
 def test_path_file_with_huge_numbers_rejected(text):
     with pytest.raises(ValueError):
         read_path_file(text)
+
+
+def reference_sparsify(image, candidate_fraction=0.02, keep_fraction=0.02,
+                       target_density=1.0, seed=0, floor_density=0.0):
+    """`probabilistic_sparsify` with one fresh `InpaintSolver` per round."""
+    n = image.size
+    rng = np.random.default_rng(seed)
+    f = image.pixels.astype(np.float64)
+    known = np.arange(n)
+    order = []
+    for target in [math.ceil(target_density * n), max(math.ceil(floor_density * n), 1)]:
+        while known.size > target:
+            c = min(math.ceil(candidate_fraction * known.size), known.size - 1)
+            cand_pos = rng.choice(known.size, size=c, replace=False)
+            cand = known[cand_pos]
+            rest = np.delete(known, cand_pos)
+            u = InpaintSolver(Mask(rest, n), image.width, image.height).solve(f[rest])
+            err = _snap(np.abs(u[cand] - f[cand]))
+            keep = min(math.ceil(keep_fraction * c), c - 1)
+            n_remove = min(c - keep, known.size - target)
+            removed = cand[np.lexsort((cand, err))][:n_remove]
+            order.extend(removed.tolist())
+            known = np.setdiff1d(known, removed, assume_unique=True)
+    return np.array(order + known.tolist())
+
+
+def sample_image(kind, side):
+    if kind == "synthetic":
+        return make_synthetic(side)
+    return Image(side, side, np.random.default_rng(side).integers(0, 256, side * side))
+
+
+@pytest.mark.parametrize(
+    "kind, side, seed, target, floor, p",
+    [
+        ("synthetic", 16, 0, 1.0, 0.0, 0.02),
+        ("synthetic", 24, 1, 1.0, 0.01, 0.02),
+        ("synthetic", 32, 2, 0.5, 0.0, 0.02),
+        ("synthetic", 48, 0, 1.0, 0.01, 0.02),  # 33 to 47 candidates: fresh rounds first
+        ("synthetic", 36, 1, 0.8, 0.0, 0.02),
+        ("synthetic", 44, 2, 0.5, 0.01, 0.02),
+        ("synthetic", 40, 1, 1.0, 0.0, 0.1),
+        ("noise", 32, 0, 1.0, 0.0, 0.02),
+        ("noise", 40, 2, 0.7, 0.01, 0.05),
+    ],
+)
+def test_order_matches_fresh_solver_per_round(kind, side, seed, target, floor, p):
+    image = sample_image(kind, side)
+    path = probabilistic_sparsify(image, p, p, target, seed=seed, floor_density=floor)
+    expected = reference_sparsify(image, p, p, target, seed=seed, floor_density=floor)
+    assert np.array_equal(path.removal_order, expected)
+
+
+@pytest.mark.parametrize("kind, side", [("synthetic", 16), ("noise", 8)])
+def test_residual_check_fires_in_bordered_rounds(kind, side, monkeypatch):
+    monkeypatch.setattr(inpainting, "RESIDUAL_BOUND", 1e-300)
+    with pytest.raises(InpaintingError) as err:
+        probabilistic_sparsify(sample_image(kind, side), seed=1)
+    assert err.value.residual > 1e-300
+    assert any(entry.name == "solve_bordered" for entry in err.traceback)
