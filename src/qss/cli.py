@@ -14,8 +14,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import compression, pgm, scale_space, sparsification
 from .image import Image, Mask
 from .inpainting import InpaintingError
@@ -75,12 +73,9 @@ def _parse_mask_arg(arg: str, image: Image) -> Mask:
 
 
 def _resolve_method_and_mask(args, image: Image):
-    """(method, mask or None, mask the quantisation path is built on)."""
+    """(method, mask or None); without --mask the domain is the whole image."""
     method = _METHOD_ALIASES.get(args.method, args.method)
-    mask = _parse_mask_arg(args.mask, image) if args.mask else None
-    if method == "sparsification" and mask is None:
-        raise CliError(EXIT_INPUT, "the sparsification method needs --mask")
-    return method, mask, mask if mask is not None else Mask.full(image.size)
+    return method, _parse_mask_arg(args.mask, image) if args.mask else None
 
 
 def cmd_sparsify(args) -> int:
@@ -91,9 +86,7 @@ def cmd_sparsify(args) -> int:
     outputs = [(args.out, sparsification.write_path_file(path).encode())]
     if args.preview:
         target = image.size - math.ceil(args.density * image.size)
-        mask = path.mask_at(target)
-        preview = np.zeros(image.size, dtype=np.int64)
-        preview[mask.indices] = 255
+        preview = 255 * path.mask_at(target).bool_array()
         outputs.append(
             (args.preview, pgm.write_pgm(Image(image.width, image.height, preview)))
         )
@@ -103,8 +96,8 @@ def cmd_sparsify(args) -> int:
 
 def cmd_quantise(args) -> int:
     image = _load_image(args.input)
-    method, mask, build_mask = _resolve_method_and_mask(args, image)
-    path = compression.build_quant_path(image, build_mask, method)
+    method, mask = _resolve_method_and_mask(args, image)
+    path = compression.build_quant_path(image, mask, method)
     available = len(path.initial_values)
     if not 1 <= args.levels <= available:
         raise CliError(EXIT_INPUT, "levels %d not in [1, %d]" % (args.levels, available))
@@ -118,8 +111,8 @@ def cmd_quantise(args) -> int:
 
 def cmd_scalespace(args) -> int:
     image = _load_image(args.input)
-    method, mask, build_mask = _resolve_method_and_mask(args, image)
-    path = compression.build_quant_path(image, build_mask, method)
+    method, mask = _resolve_method_and_mask(args, image)
+    path = compression.build_quant_path(image, mask, method)
     text, lyap = scale_space.report_csv(
         scale_space.generate(image, mask, path), mask, image
     )

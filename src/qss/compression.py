@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .image import (
-    DomainError, Image, Mask, _histogram, entropy, level_partition, mse,
+    DomainError, Image, Mask, _domain, _histogram, entropy, level_partition, mse,
 )
 from .inpainting import InpaintSolver, round_to_grey
 from .quantisation import (
@@ -94,8 +95,8 @@ def default_l_grid(image_size: int):
     return [l for l in grid if 0 <= l < image_size]
 
 
-def build_quant_path(image: Image, mask: Mask, method: str) -> QuantisationPath:
-    """Quantisation path for the known data of one mask."""
+def build_quant_path(image: Image, mask: Mask | None, method: str) -> QuantisationPath:
+    """Quantisation path for the known data of one mask (all pixels if None)."""
     if method == "uniform":
         return uniform_path(image.grey_depth)
     if method == "ward":
@@ -143,11 +144,11 @@ def evaluate_grid(
 
 def _evaluate_mask(image, mask, l, method, budget, on_reconstruction):
     """The points of `evaluate_grid` at mask scale l, in ascending m."""
-    known = image.pixels[mask.indices]
+    known = _domain(image, mask)
     solver = psi = None
     if method == "sparsification":
         solver = InpaintSolver(mask, image.width, image.height)
-        part = level_partition(image, mask)
+        part = _histogram(known)
         psi = _level_basis(solver, known, part.values)
         path = _path_from_basis(image, part, psi)
     else:
@@ -170,8 +171,9 @@ def _evaluate_mask(image, mask, l, method, budget, on_reconstruction):
     elif first == 0:
         basis = psi
     else:  # sum the level basis into the clusters active at `first`
-        basis = np.zeros((clusters.size, image.size))
-        np.add.at(basis, np.searchsorted(clusters, lut[part.values]), psi)
+        rows = np.searchsorted(clusters, lut[part.values])
+        agg = sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))))
+        basis = agg @ psi  # adds in ascending level order, as np.add.at does
     del psi  # only `basis` is read from here on
     known_at = itertools.islice(_quantised_known_values(image, mask, path), first, None)
     superposed = _superpositions(clusters, basis, path.steps[first:])

@@ -78,8 +78,9 @@ class Mask:
     image_size: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).ravel()
-        idx = np.unique(idx)  # sorted, duplicate-free
+        idx = np.array(self.indices, dtype=np.int64).ravel()  # a copy the mask owns
+        if np.any(idx[1:] <= idx[:-1]):  # sort only what is not strictly increasing
+            idx = np.unique(idx)  # sorted, duplicate-free
         if idx.size and (idx[0] < 0 or idx[-1] >= self.image_size):
             raise ValueError("mask indices outside [0, %d)" % self.image_size)
         idx.flags.writeable = False
@@ -125,17 +126,29 @@ class LevelPartition:
         return int(self.counts.sum())
 
 
+def _domain(image: Image, mask: Mask | None) -> np.ndarray:
+    """Pixel values of the domain: the masked pixels, or all of them."""
+    if mask is None:
+        return image.pixels
+    if mask.image_size != image.size:
+        raise DomainError("mask size does not match image")
+    if len(mask) == 0:
+        raise DomainError("empty domain")
+    return image.pixels[mask.indices]
+
+
+def _with_domain(image: Image, mask: Mask | None, values: np.ndarray) -> Image:
+    """`image` with the pixels of the domain (see `_domain`) set to `values`."""
+    if mask is None:
+        return image.with_pixels(values)
+    pixels = image.pixels.copy()
+    pixels[mask.indices] = values
+    return image.with_pixels(pixels)
+
+
 def level_partition(image: Image, mask: Mask | None = None) -> LevelPartition:
     """Histogram of the (masked) pixels, in one pass over the domain."""
-    if mask is None:
-        vals = image.pixels
-    else:
-        if mask.image_size != image.size:
-            raise DomainError("mask size does not match image")
-        if len(mask) == 0:
-            raise DomainError("empty domain")
-        vals = image.pixels[mask.indices]
-    return _histogram(vals)
+    return _histogram(_domain(image, mask))
 
 
 def _histogram(values: np.ndarray) -> LevelPartition:
@@ -154,15 +167,8 @@ def entropy(partition: LevelPartition) -> float:
 
 def total_contrast(image: Image, mask: Mask | None = None) -> int:
     """Max minus min grey value over the considered pixels."""
-    if mask is None:
-        vals = image.pixels
-    else:
-        if mask.image_size != image.size:
-            raise DomainError("mask size does not match image")
-        if len(mask) == 0:
-            raise DomainError("empty domain")
-        vals = image.pixels[mask.indices]
-    return int(vals.max() - vals.min())
+    values = level_partition(image, mask).values
+    return int(values[-1] - values[0])
 
 
 def mse(a: Image, b: Image) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .image import DomainError, Image, Mask
+from .image import DomainError, Image, Mask, _domain
 
 # Largest absolute residual any solve may leave in an equation.
 RESIDUAL_BOUND = 1e-9
@@ -216,8 +216,8 @@ def inpaint(known: Image, mask: Mask) -> np.ndarray:
     for bit. At every other pixel the degree-adjusted 5-point Laplacian
     vanishes up to `RESIDUAL_BOUND`.
     """
-    solver = InpaintSolver(mask, known.width, known.height)
-    return solver.solve(known.pixels[mask.indices])
+    values = _domain(known, mask)
+    return InpaintSolver(mask, known.width, known.height).solve(values)
 
 
 def round_to_grey(values: np.ndarray, width: int, height: int, grey_depth: int = 256) -> Image:

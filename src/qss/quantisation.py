@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import DomainError, Image, LevelPartition, Mask, level_partition
+from .image import DomainError, Image, LevelPartition, Mask, _domain, _histogram, _with_domain
 from .inpainting import InpaintSolver
 
 
@@ -82,21 +82,14 @@ def _value_map(steps, grey_depth: int, lut: np.ndarray | None = None) -> np.ndar
 def apply_steps(image: Image, mask: Mask | None, steps) -> Image:
     """Apply merge steps pointwise to the (masked) pixels."""
     lut = _value_map(steps, image.grey_depth)
-    pixels = image.pixels.copy()
-    if mask is None:
-        pixels = lut[pixels]
-    else:
-        if mask.image_size != image.size:
-            raise DomainError("mask size does not match image")
-        pixels[mask.indices] = lut[pixels[mask.indices]]
-    return image.with_pixels(pixels)
+    return _with_domain(image, mask, lut[_domain(image, mask)])
 
 
 def apply_path(image: Image, mask: Mask | None, path: QuantisationPath, m: int) -> Image:
     """Image after the first m merge steps of the path."""
     if not 0 <= m <= len(path):
         raise PathError("scale %d out of [0, %d]" % (m, len(path)))
-    _check_initial_values(image.pixels if mask is None else image.pixels[mask.indices], path)
+    _check_initial_values(_domain(image, mask), path)
     return apply_steps(image, mask, path.steps[:m])
 
 
@@ -105,14 +98,15 @@ def _check_initial_values(values: np.ndarray, path: QuantisationPath) -> None:
         raise PathError("image contains values outside the path's initial values")
 
 
-def _quantised_known_values(image: Image, mask: Mask, path: QuantisationPath):
-    """Yield the known data after the first m steps, for m = 0 ... len(path).
+def _quantised_known_values(image: Image, mask: Mask | None, path: QuantisationPath):
+    """Yield the domain values after the first m steps, m = 0 ... len(path).
 
-    Equals `apply_path(image, mask, path, m).pixels[mask.indices]`, but the
-    initial values are checked once and the steps are replayed into one
-    lookup table, so all scales cost one pass over the path.
+    Equals `_domain(apply_path(image, mask, path, m), mask)`, but by the
+    semigroup property every scale is read from the original through one
+    lookup table that the steps continue in turn, so the initial values
+    are checked once and all scales cost one pass over the path.
     """
-    values = image.pixels[mask.indices]
+    values = _domain(image, mask)
     _check_initial_values(values, path)
     lut = _value_map((), image.grey_depth)
     yield lut[values]
@@ -198,7 +192,7 @@ def ward_path(partition: LevelPartition) -> QuantisationPath:
     return QuantisationPath(tuple(partition.values), steps)
 
 
-def sparsification_quant_path(image: Image, mask: Mask) -> QuantisationPath:
+def sparsification_quant_path(image: Image, mask: Mask | None) -> QuantisationPath:
     """Greedy merging of known-data values by global inpainting error.
 
     Each candidate merge quantises the known data and scores the MSE of
@@ -211,17 +205,19 @@ def sparsification_quant_path(image: Image, mask: Mask) -> QuantisationPath:
     O(levels^2) per step whatever the image size. With a full mask this
     reduces to Ward clustering. `evaluate_grid` builds the same path from
     the same basis and reconstructs every scale from it, so each mask it
-    evaluates is factorised and solved for once.
+    evaluates is factorised and solved for once. A `None` mask raises
+    DomainError.
     """
-    if len(mask) == 0:
-        raise DomainError("empty mask")
-    part = level_partition(image, mask)
+    if mask is None:
+        raise DomainError("the sparsification method needs a mask")
+    known = _domain(image, mask)
+    part = _histogram(known)
     initial = tuple(part.values)
     if len(initial) == 1:
         return QuantisationPath(initial, ())
 
     solver = InpaintSolver(mask, image.width, image.height)
-    psi = _level_basis(solver, image.pixels[mask.indices], part.values)
+    psi = _level_basis(solver, known, part.values)
     return _path_from_basis(image, part, psi)
 
 

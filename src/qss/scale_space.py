@@ -15,19 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .image import Image, Mask, entropy, level_partition
-from .quantisation import QuantisationPath, apply_path, apply_steps
+from .image import Image, Mask, _domain, _with_domain, entropy, level_partition
+from .quantisation import QuantisationPath, _quantised_known_values, apply_path, apply_steps
 
 ENTROPY_TOL = 1e-12
 
 
 def generate(image: Image, mask: Mask | None, path: QuantisationPath):
-    """Yield the family f^0 ... f^L of quantised images along the path."""
-    current = apply_path(image, mask, path, 0)
-    yield current
-    for step in path.steps:
-        current = apply_steps(current, mask, (step,))
-        yield current
+    """Yield the family f^0 ... f^L of quantised images along the path,
+    each read from the original through one composed lookup table."""
+    for values in _quantised_known_values(image, mask, path):
+        yield _with_domain(image, mask, values)
 
 
 @dataclass
@@ -123,16 +121,12 @@ def report_csv(sequence, mask: Mask | None = None, original: Image | None = None
     otherwise). Returns the CSV text and the entropy report, both from
     one pass over the sequence.
     """
-
-    def domain(img):
-        return img.pixels if mask is None else img.pixels[mask.indices]
-
-    ref_vals = None if original is None else domain(original).astype(float)
+    ref_vals = None if original is None else _domain(original, mask).astype(float)
     mses = []
 
     def add_mse(img):
         nonlocal ref_vals
-        vals = domain(img)
+        vals = _domain(img, mask)
         if ref_vals is None:
             ref_vals = vals.astype(float)
         d = vals - ref_vals

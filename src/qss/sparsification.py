@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import Image, Mask
-from .inpainting import InpaintSolver, _snap
+from .image import Image, Mask, _domain
+from .inpainting import InpaintSolver, _snap, inpaint
 
 # Border columns one kept factorisation serves before it is replaced by a
 # factorisation of the current mask. A factorisation costs about 70-90
@@ -88,7 +88,6 @@ def probabilistic_sparsify(
 
     n = image.size
     rng = np.random.default_rng(seed)
-    f = image.pixels.astype(np.float64)
     known = np.arange(n)
     order: list[int] = []
     solver = None
@@ -101,13 +100,13 @@ def probabilistic_sparsify(
             cand = known[cand_pos]
             rest = Mask(np.delete(known, cand_pos), n)
             if 2 * c > _BORDER_COLUMNS:
-                u = InpaintSolver(rest, image.width, image.height).solve(f[rest.indices])
+                u = inpaint(image, rest)
             else:
                 if solver is None or solver.border_columns + c > _BORDER_COLUMNS:
                     solver = InpaintSolver(Mask(known, n), image.width, image.height)
-                    base = solver.solve(f[known])
+                    base = solver.solve(_domain(image, solver.mask))
                 u = solver.solve_bordered(base, rest)
-            err = _snap(np.abs(u[cand] - f[cand]))
+            err = _snap(np.abs(u[cand] - image.pixels[cand]))
             keep = min(math.ceil(keep_fraction * c), c - 1)
             n_remove = min(c - keep, known.size - target)
             # remove lowest-error candidates first; ties (exact after the

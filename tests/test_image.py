@@ -13,6 +13,9 @@ from qss import (
     mse,
     total_contrast,
 )
+from qss.compression import build_quant_path
+from qss.quantisation import apply_path, apply_steps, ward_path
+from qss.scale_space import generate, report_csv
 
 
 class TestImage:
@@ -32,6 +35,28 @@ class TestImage:
         img = Image(2, 2, [0, 1, 2, 3])
         with pytest.raises(ValueError):
             img.pixels[0] = 9
+
+
+class TestMask:
+    @pytest.mark.parametrize(
+        "indices", [[0, 2, 5], [5, 0, 2], [2, 0, 5, 2], [0, 0, 3], [4], []]
+    )
+    def test_indices_sorted_and_unique(self, indices):
+        mask = Mask(np.array(indices), 8)
+        assert mask.indices.tolist() == sorted(set(indices))
+        assert not mask.indices.flags.writeable
+
+    def test_owns_its_indices(self):
+        indices = np.array([1, 3, 4])  # already sorted: no np.unique copy
+        mask = Mask(indices, 5)
+        indices[0] = 0
+        assert indices.flags.writeable
+        assert mask.indices.tolist() == [1, 3, 4]
+
+    @pytest.mark.parametrize("indices", [[0, 5], [5, 0], [-1, 2], [2, -1]])
+    def test_rejects_out_of_range(self, indices):
+        with pytest.raises(ValueError, match="outside"):
+            Mask(indices, 5)
 
 
 class TestLevelPartition:
@@ -143,3 +168,29 @@ class TestMse:
             a = Image(3, 3, rng.integers(0, 4, 9))
             b = Image(3, 3, rng.integers(0, 4, 9))
             assert (mse(a, b) == 0.0) == (a == b)
+
+
+def _ward_of(img):
+    return ward_path(level_partition(img))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda img, mask: apply_path(img, mask, _ward_of(img), 1),
+        lambda img, mask: apply_steps(img, mask, _ward_of(img).steps),
+        lambda img, mask: next(generate(img, mask, _ward_of(img))),
+        level_partition,
+        total_contrast,
+        lambda img, mask: report_csv([img], mask, img),
+        lambda img, mask: build_quant_path(img, None, "sparsification"),
+    ],
+    ids=["apply_path", "apply_steps", "generate", "level_partition",
+         "total_contrast", "report_csv", "build_quant_path-spars-none"],
+)
+def test_foreign_domain_is_a_domain_error(call):
+    """A mask built for a larger image, or no mask for the sparsification
+    method, raises DomainError and never IndexError."""
+    img = Image(3, 2, [0, 4, 4, 9, 0, 9])
+    with pytest.raises(DomainError):
+        call(img, Mask([0, 7, 11], 12))
