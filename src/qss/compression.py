@@ -16,10 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .image import (
-    DomainError, Image, Mask, _domain, _histogram, entropy, level_partition, mse,
-)
-from .inpainting import InpaintSolver, round_to_grey
+from .image import DomainError, Image, Mask, _domain, _histogram, entropy, level_partition
+from .inpainting import _BLOCK_COLUMNS, InpaintSolver, _round_grey
 from .quantisation import (
     QuantisationPath,
     _level_basis,
@@ -120,8 +118,9 @@ def evaluate_grid(
     Points over the bit budget are returned with mse = NaN (their
     reconstruction is never computed). Committed paths are rebuilt per l
     since the known values change with the mask. Reconstructions are not
-    kept: `on_reconstruction(point, image)`, if given, sees each one as it
-    is made.
+    kept: `on_reconstruction(point, grey)`, if given, sees each one as it
+    is scored, its grey values (`round_to_grey`) as a length-N int64 array
+    that is only valid during the call.
 
     Inpainting is linear in the known data, so no point needs a solve of
     its own. At each l the costs of all m come first, in one pass. Then
@@ -132,8 +131,9 @@ def evaluate_grid(
     (r - a) psi_a + (r - b) psi_b and sets psi_r = psi_a + psi_b. The
     sparsification method builds its path from the basis of all occurring
     values and sums it into clusters, so its mask is factorised once.
-    Every evaluated reconstruction passes the residual check of a solve
-    before `round_to_grey` and `mse`.
+    Affordable reconstructions are scored `_BLOCK_COLUMNS` at a time: each
+    block passes the residual check of a solve, then is rounded to grey
+    values and scored in place (`_score`); no `Image` is built per point.
     """
     points = []
     for l in l_grid:
@@ -177,15 +177,41 @@ def _evaluate_mask(image, mask, l, method, budget, on_reconstruction):
     del psi  # only `basis` is read from here on
     known_at = itertools.islice(_quantised_known_values(image, mask, path), first, None)
     superposed = _superpositions(clusters, basis, path.steps[first:])
-    for point, g, rec in zip(points[first:], known_at, superposed):
-        if point.total_bits >= budget:
-            continue
-        solver.check(g, rec)
-        rec_image = round_to_grey(rec, image.width, image.height, image.grey_depth)
-        points[point.m] = replace(point, mse=mse(image, rec_image))
-        if on_reconstruction is not None:
-            on_reconstruction(points[point.m], rec_image)
-    return points
+    affordable = (
+        (point, g, rec)
+        for point, g, rec in zip(points[first:], known_at, superposed)
+        if point.total_bits < budget
+    )
+    data = np.empty((_BLOCK_COLUMNS, known.size))
+    recs = np.empty((_BLOCK_COLUMNS, image.size))
+    while True:  # up to _BLOCK_COLUMNS consecutive affordable points at a time
+        block = []
+        for k, (point, g, rec) in zip(range(_BLOCK_COLUMNS), affordable):
+            data[k], recs[k] = g, rec
+            block.append(point)
+        if not block:
+            return points
+        solver.check(data[: len(block)], recs[: len(block)])
+        greys, errors = _score(image, recs[: len(block)])
+        for point, grey, err in zip(block, greys, errors):
+            points[point.m] = replace(point, mse=float(err))
+            if on_reconstruction is not None:
+                on_reconstruction(points[point.m], grey)
+
+
+def _score(image, recs):
+    """Round the (k, N) block of reconstructions `recs` to grey values in
+    place, as `round_to_grey` does, and return them as int64 with the MSE
+    of each row against `image`.
+
+    Each MSE is the sum of squared errors over N. The squared errors are
+    integers and every partial sum stays below 2**53, so the float sum is
+    the exact integer sum and the MSE equals `mse` to the bit.
+    """
+    greys = _round_grey(recs, image.grey_depth).astype(np.int64)
+    recs -= image.pixels
+    recs *= recs
+    return greys, recs.sum(axis=1) / image.size
 
 
 def _superpositions(clusters, basis, steps):
@@ -230,12 +256,12 @@ def rd_optimize(
     best = None
     best_rec = None
 
-    def keep_best(point, rec):
+    def keep_best(point, grey):
         nonlocal best, best_rec
         # grid is scanned in ascending (l, m); replacing on equality
         # implements the larger-l, larger-m tie preference
         if best is None or point.mse <= best.mse:
-            best, best_rec = point, rec
+            best, best_rec = point, image.with_pixels(grey.copy())
 
     points = evaluate_grid(image, spars_path, method, l_grid, budget, keep_best)
     if best is None:

@@ -9,6 +9,8 @@ side, leaving a sparse SPD system.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,14 +25,16 @@ RESIDUAL_BOUND = 1e-9
 _BLOCK_COLUMNS = 8
 
 
-def _snap(x: np.ndarray) -> np.ndarray:
-    """Round to the nearest multiple of 2**-20.
+def _snap(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Round to the nearest multiple of 2**-20 (into `out`, if given).
 
     Every decision taken on reconstruction values (rounding to grey, ranking
     errors) reads them snapped, so solvers that differ only by round-off,
     far below 2**-20, decide alike: an exact .5 or a tie stays exact.
     """
-    return np.round(x * 2**20) / 2**20
+    out = np.multiply(x, 2**20, out=out)
+    np.round(out, out=out)
+    return np.divide(out, 2**20, out=out)
 
 
 def _factorize(A: sp.spmatrix):
@@ -56,6 +60,41 @@ class InpaintingError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_blocks(work, starts: range) -> None:
+    """`work(start)` for each of `starts`, dealt round-robin to the calling
+    thread and one helper thread per further CPU of `_cpus()`, at most one
+    thread per start.
+
+    SuperLU's back-substitution releases the GIL, so the threads overlap.
+    Each stops at its own first failure; once all are joined, the failure
+    of the earliest start is raised, the one a serial loop would raise.
+    """
+    threads = max(1, min(_cpus(), len(starts)))
+    errors = {}
+
+    def run(first):
+        for i in range(first, len(starts), threads):
+            try:
+                work(starts[i])
+            except Exception as exc:
+                errors[i] = exc
+                return
+
+    helpers = [threading.Thread(target=run, args=(t,)) for t in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    run(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _grid_edges(width: int, height: int):
@@ -108,6 +147,11 @@ class InpaintSolver:
         # mask pixel -> A^-1 B_e, the unknowns' response to unit data at e
         self._border: dict[int, np.ndarray] = {}
 
+    @functools.cached_property
+    def _B_csc(self) -> sp.csc_matrix:
+        """B by columns, for the border right-hand sides of `solve_bordered`."""
+        return self._B.tocsc()
+
     @property
     def n_unknown(self) -> int:
         return int(self._unknown.size)
@@ -121,24 +165,32 @@ class InpaintSolver:
         """Reconstruction from the data at `mask.indices` (same order).
 
         A length-len(mask) vector gives a length-N vector; a (k, len(mask))
-        block gives its k reconstructions as a (k, N) array, back-substituted
-        `_BLOCK_COLUMNS` right-hand sides at a time through the one
-        factorisation. The residual of every interior equation of every
-        column is checked against `RESIDUAL_BOUND`.
+        block gives its k reconstructions as a (k, N) array. The block is
+        back-substituted `_BLOCK_COLUMNS` right-hand sides at a time through
+        the one factorisation, each converted to float64 only then (a 0/1
+        block may be passed as bool), and the residual of every interior
+        equation of every column is checked against `RESIDUAL_BOUND`.
+        Blocks are spread over the CPUs this process may run on (see
+        `_run_blocks`); the first failing block, in block order, raises.
         """
-        g = np.asarray(known_values, dtype=np.float64)
+        g = np.asarray(known_values)
         if g.ndim not in (1, 2) or g.shape[-1] != len(self.mask):
             raise DomainError("known values do not match mask size")
         block = g.reshape(-1, len(self.mask))
         out = np.empty((len(block), self.width * self.height), dtype=np.float64)
-        out[:, self.mask.indices] = block
-        if self.n_unknown:
-            for start in range(0, len(block), _BLOCK_COLUMNS):
-                rows = slice(start, start + _BLOCK_COLUMNS)
-                b = self._B @ block[rows].T
+
+        def solve_block(start):
+            rows = slice(start, start + _BLOCK_COLUMNS)
+            data = block[rows].astype(np.float64, copy=False)
+            out[rows, self.mask.indices] = data
+            if self.n_unknown:
+                b = self._B @ data.T
                 x = self._lu.solve(b)
-                self._check_residual(b - self._A @ x)
+                b -= self._A @ x  # the residual, in place
+                self._check_residual(b)
                 out[rows, self._unknown] = x.T
+
+        _run_blocks(solve_block, range(0, len(block), _BLOCK_COLUMNS))
         return out.reshape(g.shape[:-1] + out.shape[1:])
 
     def solve_bordered(self, reconstruction: np.ndarray, rest: Mask) -> np.ndarray:
@@ -170,7 +222,10 @@ class InpaintSolver:
         new = [e for e in border.tolist() if e not in self._border]
         for start in range(0, len(new), _BLOCK_COLUMNS):
             pixels = new[start : start + _BLOCK_COLUMNS]
-            b = self._B[:, np.searchsorted(self.mask.indices, pixels)].toarray()
+            b = np.zeros((self.n_unknown, len(pixels)))
+            for k, j in enumerate(np.searchsorted(self.mask.indices, pixels)):
+                col = slice(self._B_csc.indptr[j], self._B_csc.indptr[j + 1])
+                b[self._B_csc.indices[col], k] = self._B_csc.data[col]
             w = self._lu.solve(b) if self.n_unknown else b
             self._border.update(zip(pixels, w.T))
         columns = [self._border[e] for e in border.tolist()]
@@ -194,13 +249,20 @@ class InpaintSolver:
 
     def check(self, known_values: np.ndarray, reconstruction: np.ndarray) -> None:
         """Raise `InpaintingError` unless the length-N `reconstruction` solves
-        the system for `known_values` within `RESIDUAL_BOUND`."""
+        the system for `known_values` within `RESIDUAL_BOUND`.
+
+        A (k, len(mask)) block of known values with its (k, N) block of
+        reconstructions is checked at once, as `solve` checks a block; a
+        sparse product sums each row in the same order for one column as
+        for many, so every residual is the one a single check gives.
+        """
         if self.n_unknown:
-            b = self._B @ np.asarray(known_values, dtype=np.float64)
-            self._check_residual(b - self._A @ reconstruction[self._unknown])
+            b = self._B @ np.asarray(known_values, dtype=np.float64).T
+            b -= self._A @ reconstruction[..., self._unknown].T
+            self._check_residual(b)
 
     def _check_residual(self, r: np.ndarray) -> None:
-        residual = float(np.abs(r).max())
+        residual = float(max(r.max(), -r.min()))  # max |r|, without a copy
         if residual > RESIDUAL_BOUND:
             raise InpaintingError(
                 "inpainting did not converge: residual %.3e > %.3e"
@@ -214,8 +276,10 @@ def inpaint(known: Image, mask: Mask) -> np.ndarray:
 
     One-shot `InpaintSolver`: values at mask indices are the input data, bit
     for bit. At every other pixel the degree-adjusted 5-point Laplacian
-    vanishes up to `RESIDUAL_BOUND`.
+    vanishes up to `RESIDUAL_BOUND`. A `None` mask raises DomainError.
     """
+    if mask is None:
+        raise DomainError("inpainting needs a mask")
     values = _domain(known, mask)
     return InpaintSolver(mask, known.width, known.height).solve(values)
 
@@ -223,10 +287,17 @@ def inpaint(known: Image, mask: Mask) -> np.ndarray:
 def round_to_grey(values: np.ndarray, width: int, height: int, grey_depth: int = 256) -> Image:
     """Snap to multiples of 2**-20, round half away from zero, clamp to
     [0, grey_depth - 1]."""
-    values = np.asarray(values, dtype=np.float64)
+    values = np.array(values, dtype=np.float64)
+    return Image(width, height, _round_grey(values, grey_depth).astype(np.int64), grey_depth)
+
+
+def _round_grey(values: np.ndarray, grey_depth: int) -> np.ndarray:
+    """The rounding of `round_to_grey`, in place on a float64 array of any
+    shape, which it returns."""
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite reconstruction values")
-    values = _snap(values)
-    rounded = np.sign(values) * np.floor(np.abs(values) + 0.5)
-    rounded = np.clip(rounded, 0, grey_depth - 1)
-    return Image(width, height, rounded.astype(np.int64), grey_depth)
+    _snap(values, out=values)
+    # half away from zero is half up at and above 0; below 0 all clamps to 0
+    values += 0.5
+    np.floor(values, out=values)
+    return np.clip(values, 0, grey_depth - 1, out=values)

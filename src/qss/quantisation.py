@@ -225,11 +225,11 @@ def _level_basis(solver: InpaintSolver, known: np.ndarray, values: np.ndarray) -
     """Harmonic basis of the known data's level sets, one row per value.
 
     Row k, psi_k, is the inpainting of the indicator of
-    `known == values[k]`; all rows come from one block solve. When
-    `values` holds every value of `known`, the inpainting of `known` is
-    sum_k values[k] psi_k, by linearity.
+    `known == values[k]`; all rows come from one block solve, of the
+    indicators as bool. When `values` holds every value of `known`, the
+    inpainting of `known` is sum_k values[k] psi_k, by linearity.
     """
-    return solver.solve((known[None, :] == values[:, None]).astype(np.float64))
+    return solver.solve(known[None, :] == values[:, None])
 
 
 def _path_from_basis(image: Image, part: LevelPartition, psi: np.ndarray) -> QuantisationPath:

@@ -325,6 +325,33 @@ def test_failed_residual_check_exits_3(small_pgm, tmp_path, monkeypatch, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
 
 
+def test_residual_failure_in_helper_thread_exits_3(small_pgm, tmp_path, monkeypatch, capsys):
+    import threading
+
+    from qss import inpainting
+
+    _, pgm_path = small_pgm
+    check = inpainting.InpaintSolver._check_residual
+    failed_in = []
+
+    def helpers_only(solver, r):  # only solves on a helper thread may fail
+        if threading.current_thread() is not threading.main_thread():
+            failed_in.append(threading.current_thread().name)
+            check(solver, r)
+
+    monkeypatch.setattr(inpainting, "_cpus", lambda: 2)
+    monkeypatch.setattr(inpainting, "RESIDUAL_BOUND", 1e-300)
+    monkeypatch.setattr(inpainting.InpaintSolver, "_check_residual", helpers_only)
+    argv = ["compress", str(pgm_path), "--method", "spars", "--ratio", "10",
+            "--out", str(tmp_path / "m.txt")]
+    assert main(argv) == 3
+    assert failed_in
+    out = capsys.readouterr()
+    assert out.err.startswith("error: inpainting did not converge: residual ")
+    assert out.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
+
+
 @pytest.mark.parametrize("ratio", ["0", "-3", "nan", "inf", "-inf"])
 def test_compress_rejects_bad_ratio(small_pgm, tmp_path, capsys, ratio):
     _, pgm_path = small_pgm

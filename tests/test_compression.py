@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from qss import (
     rd_optimize,
     round_to_grey,
 )
+from qss import compression
 from qss.compression import (
     METHODS,
+    _score,
     build_quant_path,
     default_l_grid,
     evaluate_grid,
@@ -173,7 +176,7 @@ def test_evaluate_grid_matches_direct_solves(synthetic_grid, method, target):
     budget = math.inf if target is None else 8.0 * img.size / target
     seen = []
     points = evaluate_grid(img, spath, method, l_grid, budget,
-                           lambda point, rec: seen.append((point, rec)))
+                           lambda point, grey: seen.append((point, grey.copy())))
     expected, expected_seen = [], []
     for l in l_grid:
         mask = spath.mask_at(l)
@@ -194,9 +197,68 @@ def test_evaluate_grid_matches_direct_solves(synthetic_grid, method, target):
                 expected_seen.append((point, rec))
     assert [repr(p) for p in points] == [repr(p) for p in expected]
     assert [repr(p) for p, _ in seen] == [repr(p) for p, _ in expected_seen]
-    assert all(rec == want for (_, rec), (_, want) in zip(seen, expected_seen))
+    assert all(np.array_equal(grey, want.pixels)
+               for (_, grey), (_, want) in zip(seen, expected_seen))
     if target is not None:
         assert 0 < len(seen) < len(points)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_block_scoring_skips_points_inside_a_block(synthetic_grid, monkeypatch, method):
+    """With every third m unaffordable, blocks hold non-consecutive scales
+    and most l end on a partial block; every point is still the MSE of
+    `round_to_grey` of a direct solve."""
+    img, spath, l_grid = synthetic_grid
+    coding_cost = compression.coding_cost
+
+    def skipping(g, q_levels, method):
+        cost = coding_cost(g, q_levels, method)
+        return replace(cost, overhead_bits=math.inf) if q_levels % 3 == 0 else cost
+
+    monkeypatch.setattr(compression, "coding_cost", skipping)
+    seen = {}
+    points = evaluate_grid(img, spath, method, l_grid, math.inf,
+                           lambda point, grey: seen.setdefault((point.l, point.m), grey.copy()))
+    partial = 0
+    for l in l_grid:
+        mask = spath.mask_at(l)
+        path = build_quant_path(img, mask, method)
+        solver = InpaintSolver(mask, img.width, img.height)
+        scored = [p for p in points if p.l == l and p.q_levels % 3]
+        assert all(math.isnan(p.mse) for p in points if p.l == l and p.q_levels % 3 == 0)
+        for p in scored:
+            g = apply_path(img, mask, path, p.m).pixels[mask.indices]
+            want = round_to_grey(solver.solve(g), img.width, img.height)
+            assert p.mse == mse(img, want)
+            assert np.array_equal(seen.pop((l, p.m)), want.pixels)
+        partial += len(scored) % 8 != 0
+    assert not seen
+    assert partial > 0
+
+
+def test_score_equals_round_to_grey_and_mse():
+    rng = np.random.default_rng(8)
+    img = Image(6, 4, rng.integers(0, 256, 24))
+    recs = rng.uniform(-3, 258, (5, 24))
+    recs[0, :6] = [0.5 - 1e-12, 2.5, 254.5 + 1e-12, 255.5, -0.5, -1e-12]
+    recs[1] = img.pixels  # zero error
+    greys, errors = _score(img, recs.copy())
+    for rec, grey, err in zip(recs, greys, errors):
+        want = round_to_grey(rec, 6, 4)
+        assert np.array_equal(grey, want.pixels)
+        assert float(err) == mse(img, want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_score_rejects_non_finite_as_round_to_grey_does(bad):
+    img = Image(3, 1, [0, 1, 2])
+    recs = np.zeros((3, 3))
+    recs[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite") as scored:
+        _score(img, recs.copy())
+    with pytest.raises(ValueError) as single:
+        round_to_grey(recs[2], 3, 1)
+    assert str(scored.value) == str(single.value)
 
 
 def test_sparsification_factorises_each_mask_once(synthetic_grid, monkeypatch):

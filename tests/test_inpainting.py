@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -85,6 +87,11 @@ def test_empty_mask_rejected():
         inpaint(Image(2, 2, [0, 0, 0, 0]), Mask([], 4))
 
 
+def test_missing_mask_rejected():
+    with pytest.raises(DomainError, match="needs a mask"):
+        inpaint(Image(2, 1, [0, 255]), None)
+
+
 def test_nonconvergence_reports_residual(monkeypatch):
     monkeypatch.setattr(inpainting, "RESIDUAL_BOUND", 1e-300)
     rng = np.random.default_rng(5)
@@ -169,6 +176,82 @@ class TestBlockSolve:
         solver = InpaintSolver(mask, 20, 20)
         with pytest.raises(DomainError):
             solver.solve(block[:, :-1])
+
+
+class TestThreadedSolve:
+    """Blocks of eight columns spread over `_cpus()` threads."""
+
+    class RecordingLU:
+        """A factorisation that records the threads that back-substitute."""
+
+        def __init__(self, lu):
+            self.lu = lu
+            self.threads = set()
+
+        def solve(self, b):
+            self.threads.add(threading.current_thread())  # idents are reused
+            return self.lu.solve(b)
+
+    @staticmethod
+    def solver_and_block(rows, seed=13):
+        rng = np.random.default_rng(seed)
+        mask = Mask(rng.choice(400, size=30, replace=False), 400)
+        return InpaintSolver(mask, 20, 20), rng.integers(0, 256, (rows, len(mask))).astype(float)
+
+    @staticmethod
+    def serial(solver, block):
+        """The reconstructions, one `_lu.solve` per eight rows in order."""
+        out = np.empty((len(block), 400))
+        out[:, solver.mask.indices] = block
+        for start in range(0, len(block), 8):
+            b = solver._B @ block[start : start + 8].T
+            out[start : start + 8, solver._unknown] = solver._lu.solve(b).T
+        return out
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("blocks", [1, 2, 9, 17])
+    def test_equals_serial_back_substitution(self, monkeypatch, cpus, blocks):
+        monkeypatch.setattr(inpainting, "_cpus", lambda: cpus)
+        solver, block = self.solver_and_block(8 * blocks - 3)  # last block partial
+        expected = self.serial(solver, block)
+        solver._lu = self.RecordingLU(solver._lu)
+        assert np.array_equal(solver.solve(block), expected)
+        assert len(solver._lu.threads) == min(cpus, blocks)
+
+    def test_more_threads_than_cores_with_fast_switching(self, monkeypatch):
+        monkeypatch.setattr(inpainting, "_cpus", lambda: 6)
+        solver, block = self.solver_and_block(8 * 17)
+        expected = self.serial(solver, block)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert np.array_equal(solver.solve(block), expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_helper_failure_reaches_caller_unchanged(self, monkeypatch):
+        # block 0 (zero data, zero residual) passes on the calling thread;
+        # blocks 1 (a helper's) and 2 (the caller's) fail, and block 1 wins
+        solver, block = self.solver_and_block(24)
+        block[:8] = 0.0
+        monkeypatch.setattr(inpainting, "RESIDUAL_BOUND", 1e-300)
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(inpainting, "_cpus", lambda: cpus)
+            with pytest.raises(InpaintingError) as err:
+                solver.solve(block)
+            errors.append(err.value)
+        serial, threaded = errors
+        assert str(threaded) == str(serial)
+        assert threaded.residual == serial.residual
+        with pytest.raises(InpaintingError) as later:
+            solver.solve(block[16:])
+        assert later.value.residual != serial.residual
+
+    def test_bool_block_equals_float(self):
+        solver, block = self.solver_and_block(19)
+        assert np.array_equal(solver.solve(block % 2 == 1), solver.solve(block % 2))
 
 
 class TestBorderedSolve:
