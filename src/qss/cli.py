@@ -23,7 +23,8 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_INFEASIBLE = 4
 
-_METHOD_ALIASES = {"spars": "sparsification"}
+# --method choices and the `compression` method each names
+_METHODS = {"uniform": "uniform", "ward": "ward", "spars": "sparsification"}
 
 
 class CliError(Exception):
@@ -72,10 +73,13 @@ def _parse_mask_arg(arg: str, image: Image) -> Mask:
     return path.mask_at(image.size - math.ceil(density * image.size))
 
 
+def _method(args) -> str:
+    return _METHODS[args.method]
+
+
 def _resolve_method_and_mask(args, image: Image):
     """(method, mask or None); without --mask the domain is the whole image."""
-    method = _METHOD_ALIASES.get(args.method, args.method)
-    return method, _parse_mask_arg(args.mask, image) if args.mask else None
+    return _method(args), _parse_mask_arg(args.mask, image) if args.mask else None
 
 
 def cmd_sparsify(args) -> int:
@@ -138,7 +142,7 @@ def _format_manifest(items) -> str:
 
 def cmd_compress(args) -> int:
     image = _load_image(args.input)
-    method = _METHOD_ALIASES.get(args.method, args.method)
+    method = _method(args)
     if (args.budget is None) == (args.ratio is None):
         raise CliError(EXIT_INPUT, "give exactly one of --budget / --ratio")
     if args.ratio is not None and not 0 < args.ratio < math.inf:
@@ -197,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantise", help="quantise an image to a level count")
     p.add_argument("input")
-    p.add_argument("--method", choices=["uniform", "ward", "spars"], required=True)
+    p.add_argument("--method", choices=_METHODS, required=True)
     p.add_argument("--mask", help="sparsification path file as pathfile@density")
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--out", required=True, help="output prefix (.pgm and .qpath)")
@@ -205,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scalespace", help="emit per-step scale-space report")
     p.add_argument("input")
-    p.add_argument("--method", choices=["uniform", "ward", "spars"], required=True)
+    p.add_argument("--method", choices=_METHODS, required=True)
     p.add_argument("--mask", help="sparsification path file as pathfile@density")
     p.add_argument("--report", required=True, help="CSV output file")
     p.set_defaults(func=cmd_scalespace)
 
     p = sub.add_parser("compress", help="rate-distortion optimised compression")
     p.add_argument("input")
-    p.add_argument("--method", choices=["uniform", "ward", "spars"], required=True)
+    p.add_argument("--method", choices=_METHODS, required=True)
     p.add_argument("--budget", type=float, help="bit budget")
     p.add_argument("--ratio", type=float, help="target compression ratio")
     p.add_argument("--seed", type=int, default=0)

@@ -9,21 +9,18 @@ they are identical for all quantisation methods.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .image import DomainError, Image, Mask, _domain, _histogram, entropy, level_partition
+from .image import DomainError, Image, Mask, _histogram, entropy, level_partition
 from .inpainting import _BLOCK_COLUMNS, InpaintSolver, _round_grey
 from .quantisation import (
     QuantisationPath,
     _level_basis,
-    _path_from_basis,
     _quantised_known_values,
-    _value_map,
+    _spars_quant_path,
     sparsification_quant_path,
     uniform_path,
     ward_path,
@@ -123,17 +120,19 @@ def evaluate_grid(
     that is only valid during the call.
 
     Inpainting is linear in the known data, so no point needs a solve of
-    its own. At each l the costs of all m come first, in one pass. Then
+    its own, and each l is one walk of the path, m = 0 ... len(path): the
+    known values at m are those at m - 1 after one merge step. Each m adds
+    its cost point. At the first affordable m (m = 0 without a budget),
     one factorisation of the mask and one block solve give the harmonic
-    basis psi_c of every cluster c active at the first affordable m (every
-    occurring known value without a budget), and that reconstruction is
-    sum_c c psi_c. Each later merge step (a, b -> r) adds
-    (r - a) psi_a + (r - b) psi_b and sets psi_r = psi_a + psi_b. The
-    sparsification method builds its path from the basis of all occurring
-    values and sums it into clusters, so its mask is factorised once.
-    Affordable reconstructions are scored `_BLOCK_COLUMNS` at a time: each
-    block passes the residual check of a solve, then is rounded to grey
-    values and scored in place (`_score`); no `Image` is built per point.
+    basis psi_c of every cluster c of its known values, and that
+    reconstruction is sum_c c psi_c. From there each merge step
+    (a, b -> r) adds (r - a) psi_a + (r - b) psi_b and sets
+    psi_r = psi_a + psi_b. The sparsification method builds its path from
+    the basis of m = 0 and solves any later clusters through the same
+    factorisation, so its mask too is factorised once. Affordable
+    reconstructions are scored `_BLOCK_COLUMNS` at a time: each block
+    passes the residual check of a solve, then is rounded to grey values
+    and scored in place (`_score`); no `Image` is built per point.
     """
     points = []
     for l in l_grid:
@@ -144,59 +143,42 @@ def evaluate_grid(
 
 def _evaluate_mask(image, mask, l, method, budget, on_reconstruction):
     """The points of `evaluate_grid` at mask scale l, in ascending m."""
-    known = _domain(image, mask)
-    solver = psi = None
+    solver = basis = superposed = None
     if method == "sparsification":
-        solver = InpaintSolver(mask, image.width, image.height)
-        part = _histogram(known)
-        psi = _level_basis(solver, known, part.values)
-        path = _path_from_basis(image, part, psi)
+        path, solver, basis = _spars_quant_path(image, mask)
     else:
         path = build_quant_path(image, mask, method)
     levels = len(path.initial_values)
-    points = []
+    points, block = [], []
+    data = np.empty((_BLOCK_COLUMNS, len(mask)))
+    recs = np.empty((_BLOCK_COLUMNS, image.size))
     for m, g in enumerate(_quantised_known_values(image, mask, path)):
         cost = coding_cost(g, levels - m, method)
         ratio = 8.0 * image.size / cost.total_bits
         points.append(RateDistortionPoint(l, m, levels - m, math.nan, ratio, cost))
-    first = next((p.m for p in points if p.total_bits < budget), None)
-    if first is None:
-        return points
-
-    lut = _value_map(path.steps[:first], image.grey_depth)
-    clusters = np.unique(lut[known])
-    if psi is None:
-        solver = InpaintSolver(mask, image.width, image.height)
-        basis = _level_basis(solver, lut[known], clusters)
-    elif first == 0:
-        basis = psi
-    else:  # sum the level basis into the clusters active at `first`
-        rows = np.searchsorted(clusters, lut[part.values])
-        agg = sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))))
-        basis = agg @ psi  # adds in ascending level order, as np.add.at does
-    del psi  # only `basis` is read from here on
-    known_at = itertools.islice(_quantised_known_values(image, mask, path), first, None)
-    superposed = _superpositions(clusters, basis, path.steps[first:])
-    affordable = (
-        (point, g, rec)
-        for point, g, rec in zip(points[first:], known_at, superposed)
-        if point.total_bits < budget
-    )
-    data = np.empty((_BLOCK_COLUMNS, known.size))
-    recs = np.empty((_BLOCK_COLUMNS, image.size))
-    while True:  # up to _BLOCK_COLUMNS consecutive affordable points at a time
-        block = []
-        for k, (point, g, rec) in zip(range(_BLOCK_COLUMNS), affordable):
-            data[k], recs[k] = g, rec
-            block.append(point)
-        if not block:
-            return points
-        solver.check(data[: len(block)], recs[: len(block)])
-        greys, errors = _score(image, recs[: len(block)])
-        for point, grey, err in zip(block, greys, errors):
-            points[point.m] = replace(point, mse=float(err))
-            if on_reconstruction is not None:
-                on_reconstruction(points[point.m], grey)
+        affordable = cost.total_bits < budget
+        if superposed is None:  # no scale affordable yet
+            if not affordable:
+                continue
+            clusters = np.unique(g)
+            if m > 0 or basis is None:  # the spars basis is that of m = 0
+                if solver is None:
+                    solver = InpaintSolver(mask, image.width, image.height)
+                basis = _level_basis(solver, g, clusters)
+            superposed = _superpositions(clusters, basis, path.steps[m:])
+        rec = next(superposed)
+        if affordable:  # block holds the scale m of each row of data and recs
+            data[len(block)], recs[len(block)] = g, rec
+            block.append(m)
+        if block and (len(block) == _BLOCK_COLUMNS or m == len(path)):
+            solver.check(data[: len(block)], recs[: len(block)])
+            greys, errors = _score(image, recs[: len(block)])
+            for k, grey, err in zip(block, greys, errors):
+                points[k] = replace(points[k], mse=float(err))
+                if on_reconstruction is not None:
+                    on_reconstruction(points[k], grey)
+            block = []
+    return points
 
 
 def _score(image, recs):

@@ -97,27 +97,22 @@ def _run_blocks(work, starts: range) -> None:
         raise errors[min(errors)]
 
 
-def _grid_edges(width: int, height: int):
-    """4-neighbourhood edge list (a, b) of a width x height grid."""
-    idx = np.arange(width * height).reshape(height, width)
-    h_a = idx[:, :-1].ravel()
-    h_b = idx[:, 1:].ravel()
-    v_a = idx[:-1, :].ravel()
-    v_b = idx[1:, :].ravel()
-    return np.concatenate([h_a, v_a]), np.concatenate([h_b, v_b])
-
-
 @functools.lru_cache(maxsize=2)
 def _grid_laplacian(width: int, height: int) -> sp.csr_matrix:
     """Laplacian of the whole grid: the degree on the diagonal, -1 per
-    neighbour. Row p is the equation of pixel p whenever p is unknown."""
-    n = width * height
-    ea, eb = _grid_edges(width, height)
-    deg = np.bincount(np.concatenate([ea, eb]), minlength=n).astype(np.float64)
-    rows = np.concatenate([ea, eb, np.arange(n)])
-    cols = np.concatenate([eb, ea, np.arange(n)])
-    vals = np.concatenate([-np.ones(2 * ea.size), deg])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    neighbour. Row p is the equation of pixel p whenever p is unknown.
+
+    It is the Kronecker sum of the reflecting Laplacians of a row and of a
+    column, whose diagonal is 1, 2, ..., 2, 1.
+    """
+
+    def chain(n):
+        diagonal = np.full(n, 2.0)
+        diagonal[0] -= 1
+        diagonal[-1] -= 1
+        return sp.diags([-np.ones(n - 1), diagonal, -np.ones(n - 1)], [-1, 0, 1])
+
+    return sp.kronsum(chain(width), chain(height), format="csr")
 
 
 class InpaintSolver:
@@ -263,7 +258,7 @@ class InpaintSolver:
 
     def _check_residual(self, r: np.ndarray) -> None:
         residual = float(max(r.max(), -r.min()))  # max |r|, without a copy
-        if residual > RESIDUAL_BOUND:
+        if not residual <= RESIDUAL_BOUND:  # a NaN residual fails too
             raise InpaintingError(
                 "inpainting did not converge: residual %.3e > %.3e"
                 % (residual, RESIDUAL_BOUND),

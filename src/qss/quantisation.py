@@ -203,22 +203,28 @@ def sparsification_quant_path(image: Image, mask: Mask | None) -> QuantisationPa
     residual. The merge loop needs only the Gram matrix of the basis
     functions and their inner products with the residual, so it costs
     O(levels^2) per step whatever the image size. With a full mask this
-    reduces to Ward clustering. `evaluate_grid` builds the same path from
-    the same basis and reconstructs every scale from it, so each mask it
-    evaluates is factorised and solved for once. A `None` mask raises
-    DomainError.
+    reduces to Ward clustering. `evaluate_grid` builds the same path
+    (`_spars_quant_path`) and reconstructs every scale through the same
+    factorisation, so each mask it evaluates is factorised once. A `None`
+    mask raises DomainError.
     """
+    return _spars_quant_path(image, mask)[0]
+
+
+def _spars_quant_path(image: Image, mask: Mask | None):
+    """(path, solver, psi): the path of `sparsification_quant_path`, the
+    mask's `InpaintSolver` and the level basis psi of the known data's
+    occurring values (see `_level_basis`), from which the path is built."""
     if mask is None:
         raise DomainError("the sparsification method needs a mask")
     known = _domain(image, mask)
     part = _histogram(known)
-    initial = tuple(part.values)
-    if len(initial) == 1:
-        return QuantisationPath(initial, ())
-
     solver = InpaintSolver(mask, image.width, image.height)
     psi = _level_basis(solver, known, part.values)
-    return _path_from_basis(image, part, psi)
+    v = part.values.astype(np.int64)
+    res = image.pixels.astype(np.float64) - v @ psi
+    steps = _greedy_merge(v, part.counts, psi @ res, psi @ psi.T)
+    return QuantisationPath(tuple(part.values), steps), solver, psi
 
 
 def _level_basis(solver: InpaintSolver, known: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -230,15 +236,6 @@ def _level_basis(solver: InpaintSolver, known: np.ndarray, values: np.ndarray) -
     inpainting of `known` is sum_k values[k] psi_k, by linearity.
     """
     return solver.solve(known[None, :] == values[:, None])
-
-
-def _path_from_basis(image: Image, part: LevelPartition, psi: np.ndarray) -> QuantisationPath:
-    """Sparsification quantisation path of the known-data histogram `part`,
-    whose level basis is `psi` (see `_level_basis`)."""
-    v = part.values.astype(np.int64)
-    res = image.pixels.astype(np.float64) - v @ psi
-    steps = _greedy_merge(v, part.counts, psi @ res, psi @ psi.T)
-    return QuantisationPath(tuple(part.values), steps)
 
 
 QPATH_MAGIC = "QSSQPATH v1"

@@ -261,8 +261,12 @@ def test_score_rejects_non_finite_as_round_to_grey_does(bad):
     assert str(scored.value) == str(single.value)
 
 
-def test_sparsification_factorises_each_mask_once(synthetic_grid, monkeypatch):
+@pytest.mark.parametrize("target", [None, 20])
+def test_sparsification_factorises_each_mask_once(synthetic_grid, monkeypatch, target):
+    """Also under a budget, whose first affordable scale m > 0 has its
+    clusters solved through the factorisation that built the path."""
     img, spath, l_grid = synthetic_grid
+    budget = math.inf if target is None else 8.0 * img.size / target
     sizes = []
     factorize = inpainting._factorize
 
@@ -271,6 +275,31 @@ def test_sparsification_factorises_each_mask_once(synthetic_grid, monkeypatch):
         return factorize(A)
 
     monkeypatch.setattr(inpainting, "_factorize", counting)
-    rd_curve(img, spath, methods=("sparsification",), l_grid=l_grid)
+    points = evaluate_grid(img, spath, "sparsification", l_grid, budget)
     # one factorisation per mask with unknown pixels; its size is l
     assert sorted(sizes) == [l for l in l_grid if l > 0]
+    first = {}
+    for p in points:
+        if not math.isnan(p.mse):
+            first.setdefault(p.l, p.m)
+    assert (max(first.values()) > 0) == (target is not None)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("target", [None, 20])
+def test_one_walk_of_the_path_per_mask(synthetic_grid, monkeypatch, method, target):
+    """Costs, superpositions and scores of every m come from a single pass
+    over the quantised known values of each mask."""
+    img, spath, l_grid = synthetic_grid
+    budget = math.inf if target is None else 8.0 * img.size / target
+    walks = []
+    walk = compression._quantised_known_values
+
+    def counting(image, mask, path):
+        walks.append(len(mask))
+        return walk(image, mask, path)
+
+    monkeypatch.setattr(compression, "_quantised_known_values", counting)
+    points = evaluate_grid(img, spath, method, l_grid, budget)
+    assert walks == [img.size - l for l in l_grid]
+    assert any(not math.isnan(p.mse) for p in points)

@@ -102,6 +102,23 @@ def test_nonconvergence_reports_residual(monkeypatch):
     assert err.value.residual > 1e-300
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_residual_fails_every_check(bad):
+    """A NaN residual is not within the bound: solve, check and
+    solve_bordered raise instead of returning non-finite values."""
+    mask = Mask([0, 5, 10, 15], 16)  # the diagonal: each pixel has unknown neighbours
+    solver = InpaintSolver(mask, 4, 4)
+    known = np.array([0.0, 50.0, 100.0, 150.0])
+    with pytest.raises(InpaintingError):
+        solver.solve(np.where(np.arange(4) == 1, bad, known))
+    u = solver.solve(known)
+    u[1] = bad
+    with pytest.raises(InpaintingError):
+        solver.check(known, u)
+    with pytest.raises(InpaintingError):
+        solver.solve_bordered(u, Mask([0, 5, 15], 16))
+
+
 def laplacian(u, width, height):
     """Degree-adjusted 5-point Laplacian (reflecting boundaries) of a grid."""
     grid = u.reshape(height, width)
