@@ -117,9 +117,7 @@ def cmd_scalespace(args) -> int:
     image = _load_image(args.input)
     method, mask = _resolve_method_and_mask(args, image)
     path = compression.build_quant_path(image, mask, method)
-    text, lyap = scale_space.report_csv(
-        scale_space.generate(image, mask, path), mask, image
-    )
+    text, lyap = scale_space.report_csv(image, mask, path)
     _write([(args.report, text.encode())])
     print(
         "scalespace %s: %d steps, entropy %s"

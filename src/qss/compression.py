@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .image import DomainError, Image, Mask, _histogram, entropy, level_partition
+from .image import DomainError, Image, Mask, _domain, _histogram, entropy, level_partition
 from .inpainting import _BLOCK_COLUMNS, InpaintSolver, _round_grey
 from .quantisation import (
     QuantisationPath,
@@ -152,7 +152,8 @@ def _evaluate_mask(image, mask, l, method, budget, on_reconstruction):
     points, block = [], []
     data = np.empty((_BLOCK_COLUMNS, len(mask)))
     recs = np.empty((_BLOCK_COLUMNS, image.size))
-    for m, g in enumerate(_quantised_known_values(image, mask, path)):
+    known = _domain(image, mask)
+    for m, g in enumerate(_quantised_known_values(known, path, image.grey_depth)):
         cost = coding_cost(g, levels - m, method)
         ratio = 8.0 * image.size / cost.total_bits
         points.append(RateDistortionPoint(l, m, levels - m, math.nan, ratio, cost))

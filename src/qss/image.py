@@ -151,9 +151,10 @@ def level_partition(image: Image, mask: Mask | None = None) -> LevelPartition:
     return _histogram(_domain(image, mask))
 
 
-def _histogram(values: np.ndarray) -> LevelPartition:
-    """Histogram of non-negative integer values, by one `np.bincount`."""
-    counts = np.bincount(values)
+def _histogram(values: np.ndarray, counts: np.ndarray | None = None) -> LevelPartition:
+    """Histogram of non-negative integer values, by one `np.bincount`; with
+    `counts`, values[k] stands for counts[k] pixels (a histogram re-binned)."""
+    counts = np.bincount(values, counts)
     occurring = np.flatnonzero(counts)
     return LevelPartition(occurring, counts[occurring])
 

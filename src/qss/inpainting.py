@@ -164,7 +164,8 @@ class InpaintSolver:
         back-substituted `_BLOCK_COLUMNS` right-hand sides at a time through
         the one factorisation, each converted to float64 only then (a 0/1
         block may be passed as bool), and the residual of every interior
-        equation of every column is checked against `RESIDUAL_BOUND`.
+        equation of every column is checked against `RESIDUAL_BOUND`, and
+        non-finite known data raises before any back-substitution.
         Blocks are spread over the CPUs this process may run on (see
         `_run_blocks`); the first failing block, in block order, raises.
         """
@@ -172,6 +173,7 @@ class InpaintSolver:
         if g.ndim not in (1, 2) or g.shape[-1] != len(self.mask):
             raise DomainError("known values do not match mask size")
         block = g.reshape(-1, len(self.mask))
+        _check_finite(block)
         out = np.empty((len(block), self.width * self.height), dtype=np.float64)
 
         def solve_block(start):
@@ -203,7 +205,7 @@ class InpaintSolver:
         back-substituted through the one factorisation the first time its
         pixel is in the border, then kept (`border_columns` counts them).
         Every equation of the bordered system is checked against
-        `RESIDUAL_BOUND`.
+        `RESIDUAL_BOUND`, and a non-finite `reconstruction` raises first.
         """
         u = np.asarray(reconstruction, dtype=np.float64)
         n = self.width * self.height
@@ -214,6 +216,7 @@ class InpaintSolver:
         border = np.setdiff1d(self.mask.indices, rest.indices, assume_unique=True)
         if border.size + len(rest) != len(self.mask):
             raise DomainError("mask is not a subset of the solver's mask")
+        _check_finite(u)
         new = [e for e in border.tolist() if e not in self._border]
         for start in range(0, len(new), _BLOCK_COLUMNS):
             pixels = new[start : start + _BLOCK_COLUMNS]
@@ -250,7 +253,9 @@ class InpaintSolver:
         reconstructions is checked at once, as `solve` checks a block; a
         sparse product sums each row in the same order for one column as
         for many, so every residual is the one a single check gives.
+        Non-finite known values or reconstructions raise too.
         """
+        _check_finite(known_values, reconstruction)
         if self.n_unknown:
             b = self._B @ np.asarray(known_values, dtype=np.float64).T
             b -= self._A @ reconstruction[..., self._unknown].T
@@ -264,6 +269,13 @@ class InpaintSolver:
                 % (residual, RESIDUAL_BOUND),
                 residual,
             )
+
+
+def _check_finite(*arrays) -> None:
+    """Raise `InpaintingError` unless every value is finite: a known pixel
+    with no unknown neighbour is in no equation the residual check reads."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InpaintingError("non-finite inpainting data", np.nan)
 
 
 def inpaint(known: Image, mask: Mask) -> np.ndarray:

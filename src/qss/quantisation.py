@@ -98,20 +98,20 @@ def _check_initial_values(values: np.ndarray, path: QuantisationPath) -> None:
         raise PathError("image contains values outside the path's initial values")
 
 
-def _quantised_known_values(image: Image, mask: Mask | None, path: QuantisationPath):
-    """Yield the domain values after the first m steps, m = 0 ... len(path).
+def _quantised_known_values(values: np.ndarray, path: QuantisationPath, grey_depth: int):
+    """Yield `values` (the domain values, or a histogram's occurring values)
+    after the first m steps, m = 0 ... len(path).
 
-    Equals `_domain(apply_path(image, mask, path, m), mask)`, but by the
-    semigroup property every scale is read from the original through one
-    lookup table that the steps continue in turn, so the initial values
-    are checked once and all scales cost one pass over the path.
+    By the semigroup property every scale is read from `values` through one
+    lookup table over [0, grey_depth) that the steps continue in turn, so
+    the initial values are checked once and all scales cost one pass over
+    the path.
     """
-    values = _domain(image, mask)
     _check_initial_values(values, path)
-    lut = _value_map((), image.grey_depth)
+    lut = _value_map((), grey_depth)
     yield lut[values]
     for step in path.steps:
-        yield _value_map((step,), image.grey_depth, lut)[values]
+        yield _value_map((step,), grey_depth, lut)[values]
 
 
 def uniform_path(grey_depth: int = 256) -> QuantisationPath:

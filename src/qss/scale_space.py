@@ -1,10 +1,11 @@
 """Quantisation scale-spaces as image streams, and executable property checks.
 
-`generate` yields the images one at a time. The checks read each image's
-histogram once (level count, entropy, lowest and highest value), so every
-verifier and `report_csv` consumes its input in a single pass and never
-holds the whole family. Verifiers return structured per-step reports
-rather than booleans so the same numbers can be dumped as CSV.
+`generate` yields the images one at a time. Every property checked is read
+from a level histogram (level count, entropy, lowest and highest value): the
+verifiers partition each image of a sequence once, in a single pass, and
+`report_csv` walks the path over one histogram of the domain, building no
+image per scale. Verifiers return structured per-step reports rather than
+booleans so the same numbers can be dumped as CSV.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .image import Image, Mask, _domain, _with_domain, entropy, level_partition
+from .image import Image, Mask, _domain, _histogram, _with_domain, entropy, level_partition
 from .quantisation import QuantisationPath, _quantised_known_values, apply_path, apply_steps
 
 ENTROPY_TOL = 1e-12
@@ -24,7 +23,7 @@ ENTROPY_TOL = 1e-12
 def generate(image: Image, mask: Mask | None, path: QuantisationPath):
     """Yield the family f^0 ... f^L of quantised images along the path,
     each read from the original through one composed lookup table."""
-    for values in _quantised_known_values(image, mask, path):
+    for values in _quantised_known_values(_domain(image, mask), path, image.grey_depth):
         yield _with_domain(image, mask, values)
 
 
@@ -50,20 +49,18 @@ class BoundReport:
         return not self.violations
 
 
-def _check(sequence, mask: Mask | None, on_image=None):
-    """Judge every rule along the sequence in one pass.
+def _check(partitions):
+    """Judge every rule along a sequence of histograms in one pass.
 
-    Each image is partitioned once; the rules read only its histogram.
-    Entropy never increases, and drops strictly on a real merge: a merge
-    of two non-empty level sets shows as a drop in the number of occurring
-    values, while steps touching an empty level set leave the histogram
-    unchanged. Total contrast never increases. Every image stays within
-    [min f^0, max f^0]. `on_image(image)`, if given, sees each image as it
-    passes. An empty sequence raises ValueError.
+    Each `LevelPartition` is the histogram of one scale. Entropy never
+    increases, and drops strictly on a real merge: a merge of two non-empty
+    level sets shows as a drop in the number of occurring values, while
+    steps touching an empty level set leave the histogram unchanged. Total
+    contrast never increases. Every scale stays within [min f^0, max f^0].
+    An empty sequence raises ValueError.
     """
     lyap, contrast, bounds = LyapunovReport(), BoundReport(), BoundReport()
-    for m, img in enumerate(sequence):
-        part = level_partition(img, mask)
+    for m, part in enumerate(partitions):
         h, levels = entropy(part), part.values.size
         lo, hi = int(part.values[0]), int(part.values[-1])
         if m > 0:
@@ -81,8 +78,6 @@ def _check(sequence, mask: Mask | None, on_image=None):
         lyap.active_levels.append(levels)
         contrast.values.append(hi - lo)
         bounds.values.append((lo, hi))
-        if on_image is not None:
-            on_image(img)
     if not lyap.entropies:
         raise ValueError("empty scale-space sequence")
     return lyap, contrast, bounds
@@ -90,17 +85,17 @@ def _check(sequence, mask: Mask | None, on_image=None):
 
 def verify_lyapunov_entropy(sequence, mask: Mask | None = None) -> LyapunovReport:
     """Check that entropy never increases and strictly drops on real merges."""
-    return _check(sequence, mask)[0]
+    return _check(level_partition(img, mask) for img in sequence)[0]
 
 
 def verify_contrast_lyapunov(sequence, mask: Mask | None = None) -> BoundReport:
     """Total contrast is non-increasing along the sequence."""
-    return _check(sequence, mask)[1]
+    return _check(level_partition(img, mask) for img in sequence)[1]
 
 
 def verify_maxmin(sequence, mask: Mask | None = None) -> BoundReport:
     """All scales stay within [min f^0, max f^0]."""
-    return _check(sequence, mask)[2]
+    return _check(level_partition(img, mask) for img in sequence)[2]
 
 
 def verify_semigroup(
@@ -113,40 +108,32 @@ def verify_semigroup(
     return direct == staged
 
 
-def report_csv(sequence, mask: Mask | None = None, original: Image | None = None):
+def report_csv(image: Image, mask: Mask | None, path: QuantisationPath):
     """Per-step CSV: step, active_levels, entropy_bits, contrast, mse, pass flags.
 
-    MSE is taken against the original (f^0 when none is given) over the
-    considered domain (the mask when one is supplied, the whole image
-    otherwise). Returns the CSV text and the entropy report, both from
-    one pass over the sequence.
+    The domain (the mask when one is supplied, the whole image otherwise)
+    is partitioned once and the path walks its occurring values v: at scale
+    m the counts n_v are re-binned at the scaled values s_v, and the MSE
+    against f^0 is the exact integer sum of n_v (s_v - v)^2 over the domain
+    size. Returns the CSV text and the entropy report of `generate`'s images.
     """
-    ref_vals = None if original is None else _domain(original, mask).astype(float)
-    mses = []
-
-    def add_mse(img):
-        nonlocal ref_vals
-        vals = _domain(img, mask)
-        if ref_vals is None:
-            ref_vals = vals.astype(float)
-        d = vals - ref_vals
-        mses.append(float(np.mean(d * d)))
-
-    lyap, contrast, bounds = _check(sequence, mask, add_mse)
+    part = level_partition(image, mask)
+    scales = list(_quantised_known_values(part.values, path, image.grey_depth))
+    lyap, contrast, bounds = _check(_histogram(s, part.counts) for s in scales)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["step", "active_levels", "entropy_bits", "contrast", "mse",
          "entropy_ok", "contrast_ok", "maxmin_ok"]
     )
-    for m, err in enumerate(mses):
+    for m, s in enumerate(scales):
         writer.writerow(
             [
                 m,
                 lyap.active_levels[m],
                 "%.12g" % lyap.entropies[m],
                 contrast.values[m],
-                "%.12g" % err,
+                "%.12g" % (int(part.counts @ (s - part.values) ** 2) / part.domain_size),
                 int(m - 1 not in lyap.violations and m - 1 not in lyap.strict_violations),
                 int(m - 1 not in contrast.violations),
                 int(m not in bounds.violations),

@@ -295,9 +295,9 @@ def test_one_walk_of_the_path_per_mask(synthetic_grid, monkeypatch, method, targ
     walks = []
     walk = compression._quantised_known_values
 
-    def counting(image, mask, path):
-        walks.append(len(mask))
-        return walk(image, mask, path)
+    def counting(values, path, grey_depth):
+        walks.append(len(values))
+        return walk(values, path, grey_depth)
 
     monkeypatch.setattr(compression, "_quantised_known_values", counting)
     points = evaluate_grid(img, spath, method, l_grid, budget)

@@ -182,7 +182,7 @@ def _ward_of(img):
         lambda img, mask: next(generate(img, mask, _ward_of(img))),
         level_partition,
         total_contrast,
-        lambda img, mask: report_csv([img], mask, img),
+        lambda img, mask: report_csv(img, mask, _ward_of(img)),
         lambda img, mask: build_quant_path(img, None, "sparsification"),
     ],
     ids=["apply_path", "apply_steps", "generate", "level_partition",

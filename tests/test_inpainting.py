@@ -118,6 +118,20 @@ def test_non_finite_residual_fails_every_check(bad):
     with pytest.raises(InpaintingError):
         solver.solve_bordered(u, Mask([0, 5, 15], 16))
 
+    # pixel 0 of the 3x3 top-left block has no unknown neighbour, so it is
+    # in no equation of the system: its non-finite value must still raise
+    mask = Mask([0, 1, 2, 4, 5, 6, 8, 9, 10], 16)
+    solver = InpaintSolver(mask, 4, 4)
+    known = np.arange(9.0)
+    u = solver.solve(known)
+    known[0] = u[0] = bad
+    with pytest.raises(InpaintingError):
+        solver.solve(known)
+    with pytest.raises(InpaintingError):
+        solver.check(known, u)
+    with pytest.raises(InpaintingError):
+        solver.solve_bordered(u, Mask([0, 1, 2, 4, 5, 6, 8, 9], 16))
+
 
 def laplacian(u, width, height):
     """Degree-adjusted 5-point Laplacian (reflecting boundaries) of a grid."""

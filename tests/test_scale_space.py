@@ -16,7 +16,10 @@ from qss import (
     verify_semigroup,
     ward_path,
 )
+from qss.quantisation import sparsification_quant_path
 from qss.scale_space import report_csv
+
+from conftest import random_image, random_mask
 
 
 def ward_of(img, mask=None):
@@ -184,7 +187,7 @@ def test_report_csv_shape():
     rng = np.random.default_rng(6)
     img = Image(4, 4, rng.integers(0, 16, 16))
     path = ward_of(img)
-    csv_text, _ = report_csv(generate(img, None, path), None, img)
+    csv_text, _ = report_csv(img, None, path)
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("step,active_levels,entropy_bits,contrast,mse")
     assert len(lines) == len(path) + 2
@@ -200,48 +203,70 @@ def test_report_csv_masked_domain():
     mask = Mask([0, 1, 2], 4)
     path = ward_of(img, mask)
     seq = list(generate(img, mask, path))
-    lines = report_csv(seq, mask, img)[0].strip().splitlines()
+    lines = report_csv(img, mask, path)[0].strip().splitlines()
     assert len(lines) == len(path) + 2
     # unmasked pixel keeps its original value throughout
     assert all(s.pixels[3] == 100 for s in seq)
 
 
 def test_report_csv_flags_and_mse_by_hand():
-    seq = [
-        Image(8, 1, [0, 1, 2, 3, 4, 4, 4, 4]),  # 5 levels, 2 bits
-        Image(8, 1, [0, 0, 1, 1, 2, 2, 3, 3]),  # merge without an entropy drop
-        Image(8, 1, [0, 0, 1, 1, 2, 2, 3, 5]),  # entropy, contrast and max rise
-    ]
-    text, lyap = report_csv(iter(seq))
+    # uniform_path(4) merges 0,1 -> 1, then 2,3 -> 3, then 1,3 -> 2: on
+    # [1, 2] the second step raises the contrast and the maximum
+    text, lyap = report_csv(Image(2, 1, [1, 2], 4), None, uniform_path(4))
     assert text == (
         "step,active_levels,entropy_bits,contrast,mse,"
         "entropy_ok,contrast_ok,maxmin_ok\n"
-        "0,5,2,4,0,1,1,1\n"
-        "1,4,2,3,2,0,1,1\n"
-        "2,5,2.25,5,2,0,0,0\n"
+        "0,2,1,1,0,1,1,1\n"
+        "1,2,1,1,0,1,1,1\n"
+        "2,2,1,2,0.5,1,0,0\n"
+        "3,1,0,0,0.5,1,1,1\n"
     )
-    assert lyap.violations == [1] and lyap.strict_violations == [0]
+    assert lyap.passed and lyap.entropies == [1.0, 1.0, 1.0, 0.0]
+
+
+def _report_oracle(image, mask, path):
+    """`report_csv` computed image by image: every scale is generated, the
+    verifiers judge the sequence, and the MSE is the mean of the squared
+    differences of the domain values."""
+    domain = (lambda f: f.pixels) if mask is None else (lambda f: f.pixels[mask.indices])
+    seq = list(generate(image, mask, path))
+    lyap = verify_lyapunov_entropy(seq, mask)
+    contrast = verify_contrast_lyapunov(seq, mask)
+    bounds = verify_maxmin(seq, mask)
+    lines = ["step,active_levels,entropy_bits,contrast,mse,entropy_ok,contrast_ok,maxmin_ok"]
+    for m, f in enumerate(seq):
+        d = domain(f) - domain(image).astype(float)
+        lines.append("%d,%d,%s,%d,%s,%d,%d,%d" % (
+            m,
+            lyap.active_levels[m],
+            "%.12g" % lyap.entropies[m],
+            contrast.values[m],
+            "%.12g" % float(np.mean(d * d)),
+            m - 1 not in lyap.violations and m - 1 not in lyap.strict_violations,
+            m - 1 not in contrast.violations,
+            m not in bounds.violations,
+        ))
+    return "\n".join(lines) + "\n", lyap
 
 
 @pytest.mark.parametrize("masked", [False, True])
-def test_streamed_report_equals_listed(masked):
+def test_report_csv_equals_image_oracle(masked):
+    """The histogram walk gives the report of the generated images exactly."""
     rng = np.random.default_rng(7)
-    for _ in range(5):
-        img = Image(6, 5, rng.integers(0, 64, 30), grey_depth=64)
-        mask = Mask(rng.choice(30, size=18, replace=False), 30) if masked else None
-        for path in (ward_of(img, mask), uniform_path(64)):
-            listed = list(generate(img, mask, path))
-            text, lyap = report_csv(generate(img, mask, path), mask, img)
-            assert (text, lyap) == report_csv(listed, mask, img)
-            # without an original, MSE is taken against f^0, which is img
-            assert (text, lyap) == report_csv(generate(img, mask, path), mask)
-            assert lyap == verify_lyapunov_entropy(listed, mask)
-            assert len(text.strip().splitlines()) == len(path) + 2
+    for full_hull in (True, False):
+        for _ in range(6):
+            img = random_image(rng, max_side=12, full_hull=full_hull)
+            mask = random_mask(rng, img) if masked else None
+            paths = [uniform_path(img.grey_depth), ward_of(img, mask)]
+            if masked:
+                paths.append(sparsification_quant_path(img, mask))
+            for path in paths:
+                assert report_csv(img, mask, path) == _report_oracle(img, mask, path)
 
 
 @pytest.mark.parametrize(
     "check",
-    [verify_lyapunov_entropy, verify_maxmin, verify_contrast_lyapunov, report_csv],
+    [verify_lyapunov_entropy, verify_maxmin, verify_contrast_lyapunov],
 )
 def test_checks_consume_a_generator_once(check):
     img = Image(4, 1, [0, 0, 10, 100])
