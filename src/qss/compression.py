@@ -131,8 +131,8 @@ def evaluate_grid(
     the basis of m = 0 and solves any later clusters through the same
     factorisation, so its mask too is factorised once. Affordable
     reconstructions are scored `_BLOCK_COLUMNS` at a time: each block
-    passes the residual check of a solve, then is rounded to grey values
-    and scored in place (`_score`); no `Image` is built per point.
+    passes `InpaintSolver.check`, as a solve does, then is rounded to grey
+    values and scored in place (`_score`); no `Image` is built per point.
     """
     points = []
     for l in l_grid:

@@ -78,7 +78,10 @@ class Mask:
     image_size: int
 
     def __post_init__(self):
-        idx = np.array(self.indices, dtype=np.int64).ravel()  # a copy the mask owns
+        idx = np.asarray(self.indices)
+        if idx.size and idx.dtype.kind not in "iu":  # a bool array is no index set
+            raise ValueError("mask indices must be integers, not %s" % idx.dtype)
+        idx = np.array(idx, dtype=np.int64).ravel()  # a copy the mask owns
         if np.any(idx[1:] <= idx[:-1]):  # sort only what is not strictly increasing
             idx = np.unique(idx)  # sorted, duplicate-free
         if idx.size and (idx[0] < 0 or idx[-1] >= self.image_size):

@@ -133,12 +133,11 @@ class InpaintSolver:
         self.height = height
         self._unknown = np.flatnonzero(~mask.bool_array())
 
-        # the equations of the unknowns: A on the unknowns, and the coupling
-        # to the known pixels moved to the right-hand side, rhs = B @ values
-        rows = _grid_laplacian(width, height)[self._unknown]
-        self._A = rows[:, self._unknown]
-        self._B = -rows[:, mask.indices]
-        self._lu = _factorize(self._A) if self._unknown.size else None
+        # the grid Laplacian's rows at the unknowns, through which every check
+        # reads a full-length reconstruction; rhs = B @ known values
+        self._rows = _grid_laplacian(width, height)[self._unknown]
+        self._B = -self._rows[:, mask.indices]
+        self._lu = _factorize(self._rows[:, self._unknown]) if self._unknown.size else None
         # mask pixel -> A^-1 B_e, the unknowns' response to unit data at e
         self._border: dict[int, np.ndarray] = {}
 
@@ -163,9 +162,9 @@ class InpaintSolver:
         block gives its k reconstructions as a (k, N) array. The block is
         back-substituted `_BLOCK_COLUMNS` right-hand sides at a time through
         the one factorisation, each converted to float64 only then (a 0/1
-        block may be passed as bool), and the residual of every interior
-        equation of every column is checked against `RESIDUAL_BOUND`, and
-        non-finite known data raises before any back-substitution.
+        block may be passed as bool); each block's rows of the result are
+        then checked as `check` does, and non-finite known data raises
+        before any back-substitution.
         Blocks are spread over the CPUs this process may run on (see
         `_run_blocks`); the first failing block, in block order, raises.
         """
@@ -181,11 +180,8 @@ class InpaintSolver:
             data = block[rows].astype(np.float64, copy=False)
             out[rows, self.mask.indices] = data
             if self.n_unknown:
-                b = self._B @ data.T
-                x = self._lu.solve(b)
-                b -= self._A @ x  # the residual, in place
-                self._check_residual(b)
-                out[rows, self._unknown] = x.T
+                out[rows, self._unknown] = self._lu.solve(self._B @ data.T).T
+                self._check_residual(self._rows @ out[rows].T)
 
         _run_blocks(solve_block, range(0, len(block), _BLOCK_COLUMNS))
         return out.reshape(g.shape[:-1] + out.shape[1:])
@@ -203,9 +199,11 @@ class InpaintSolver:
 
         L the full-grid Laplacian, and x_0 = u_0 + W d. Each column of W is
         back-substituted through the one factorisation the first time its
-        pixel is in the border, then kept (`border_columns` counts them).
-        Every equation of the bordered system is checked against
-        `RESIDUAL_BOUND`, and a non-finite `reconstruction` raises first.
+        pixel is in the border, then kept (`border_columns` counts them); a
+        call's new columns are one column slice of B, back-substituted at
+        once. The result's Laplacian is checked against `RESIDUAL_BOUND` at
+        every unknown of the bordered system; a non-finite `reconstruction`
+        raises first.
         """
         u = np.asarray(reconstruction, dtype=np.float64)
         n = self.width * self.height
@@ -218,14 +216,10 @@ class InpaintSolver:
             raise DomainError("mask is not a subset of the solver's mask")
         _check_finite(u)
         new = [e for e in border.tolist() if e not in self._border]
-        for start in range(0, len(new), _BLOCK_COLUMNS):
-            pixels = new[start : start + _BLOCK_COLUMNS]
-            b = np.zeros((self.n_unknown, len(pixels)))
-            for k, j in enumerate(np.searchsorted(self.mask.indices, pixels)):
-                col = slice(self._B_csc.indptr[j], self._B_csc.indptr[j + 1])
-                b[self._B_csc.indices[col], k] = self._B_csc.data[col]
+        if new:
+            b = self._B_csc[:, np.searchsorted(self.mask.indices, new)].toarray()
             w = self._lu.solve(b) if self.n_unknown else b
-            self._border.update(zip(pixels, w.T))
+            self._border.update(zip(new, w.T))
         columns = [self._border[e] for e in border.tolist()]
         lap = _grid_laplacian(self.width, self.height)
         rows = lap[border]
@@ -246,20 +240,25 @@ class InpaintSolver:
         return x
 
     def check(self, known_values: np.ndarray, reconstruction: np.ndarray) -> None:
-        """Raise `InpaintingError` unless the length-N `reconstruction` solves
-        the system for `known_values` within `RESIDUAL_BOUND`.
-
-        A (k, len(mask)) block of known values with its (k, N) block of
-        reconstructions is checked at once, as `solve` checks a block; a
+        """Raise `InpaintingError` unless the length-N `reconstruction` is
+        finite, equals `known_values` at `mask.indices` and has a Laplacian
+        within `RESIDUAL_BOUND` of 0 at every unknown; `DomainError` if
+        their shapes do not match. A (k, len(mask)) block of known values
+        with its (k, N) block of reconstructions is checked at once; a
         sparse product sums each row in the same order for one column as
         for many, so every residual is the one a single check gives.
-        Non-finite known values or reconstructions raise too.
         """
-        _check_finite(known_values, reconstruction)
+        g, u = np.asarray(known_values), np.asarray(reconstruction)
+        if (g.ndim not in (1, 2) or g.shape[-1] != len(self.mask)
+                or u.shape != g.shape[:-1] + (self.width * self.height,)):
+            raise DomainError("known values or reconstruction do not match mask")
+        _check_finite(g, u)
+        known = u[..., self.mask.indices]
+        if not np.array_equal(known, g):
+            raise InpaintingError("reconstruction differs from the known data",
+                                  float(np.abs(known - g).max()))
         if self.n_unknown:
-            b = self._B @ np.asarray(known_values, dtype=np.float64).T
-            b -= self._A @ reconstruction[..., self._unknown].T
-            self._check_residual(b)
+            self._check_residual(self._rows @ u.T)
 
     def _check_residual(self, r: np.ndarray) -> None:
         residual = float(max(r.max(), -r.min()))  # max |r|, without a copy

@@ -58,6 +58,14 @@ class TestMask:
         with pytest.raises(ValueError, match="outside"):
             Mask(indices, 5)
 
+    @pytest.mark.parametrize(
+        "indices", [np.isin(np.arange(16), [3, 7, 12]), [0.7, 5.9], np.array([3.0])]
+    )
+    def test_rejects_non_integer_indices(self, indices):
+        # a bool array would read as {0, 1}, floats would truncate
+        with pytest.raises(ValueError, match="integers"):
+            Mask(indices, 16)
+
 
 class TestLevelPartition:
     def test_basic_grouping(self):

@@ -133,6 +133,35 @@ def test_non_finite_residual_fails_every_check(bad):
         solver.solve_bordered(u, Mask([0, 1, 2, 4, 5, 6, 8, 9], 16))
 
 
+def test_check_rejects_mismatched_shapes():
+    solver = InpaintSolver(Mask([0, 5, 15], 16), 4, 4)
+    known = np.array([0.0, 50.0, 100.0])
+    u = solver.solve(known)
+    for wrong in (np.resize(u, 25), np.append(u, 0.0), u[:-1]):  # not 16 values
+        with pytest.raises(DomainError):
+            solver.check(known, wrong)
+    with pytest.raises(DomainError):
+        solver.check(known[:2], u)  # shorter than the mask
+    with pytest.raises(DomainError):
+        solver.check(np.stack([known, known]), u)
+
+
+def test_check_reads_the_known_pixels_of_the_reconstruction():
+    """An otherwise exact reconstruction whose known pixel 5 is off by 1
+    is no inpainting of the data, alone or in a block."""
+    solver = InpaintSolver(Mask([0, 5, 15], 16), 4, 4)
+    known = np.array([0.0, 50.0, 100.0])
+    u = solver.solve(known)
+    solver.check(known, u)
+    solver.check(np.stack([known, 2 * known]), np.stack([u, 2 * u]))
+    u[5] += 1
+    with pytest.raises(InpaintingError) as err:
+        solver.check(known, u)
+    assert err.value.residual == 1
+    with pytest.raises(InpaintingError):
+        solver.check(np.stack([known, known]), np.stack([solver.solve(known), u]))
+
+
 def laplacian(u, width, height):
     """Degree-adjusted 5-point Laplacian (reflecting boundaries) of a grid."""
     grid = u.reshape(height, width)
@@ -218,9 +247,11 @@ class TestThreadedSolve:
         def __init__(self, lu):
             self.lu = lu
             self.threads = set()
+            self.columns = []  # right-hand sides per call
 
         def solve(self, b):
             self.threads.add(threading.current_thread())  # idents are reused
+            self.columns.append(b.shape[1])
             return self.lu.solve(b)
 
     @staticmethod
@@ -325,6 +356,18 @@ class TestBorderedSolve:
             u = solver.solve_bordered(base, rest)
             assert np.array_equal(inpainting._snap(u), inpainting._snap(inpaint(img, rest)))
         assert solver.border_columns == 20
+
+    def test_new_columns_in_one_back_substitution(self, img):
+        kept = Mask(np.arange(0, img.size, 3), img.size)
+        solver = InpaintSolver(kept, 24, 24)
+        base = solver.solve(img.pixels[kept.indices])
+        solver._lu = TestThreadedSolve.RecordingLU(solver._lu)
+        solver.solve_bordered(base, Mask(kept.indices[20:], img.size))
+        assert solver._lu.columns == [20]
+        solver.solve_bordered(base, Mask(kept.indices[25:], img.size))
+        assert solver._lu.columns == [20, 5]  # the kept 20 are not solved again
+        solver.solve_bordered(base, Mask(kept.indices[10:], img.size))
+        assert solver._lu.columns == [20, 5]
 
     def test_residual_checked(self, img, monkeypatch):
         kept = Mask(np.arange(0, img.size, 3), img.size)
