@@ -121,8 +121,15 @@ class LevelPartition:
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if self.values.ndim != 1 or self.counts.ndim != 1:
+            raise ValueError("values and counts must be 1-D")
         if self.values.shape != self.counts.shape:
             raise ValueError("values and counts differ in length")
+        if self.values.size:
+            if self.values[0] < 0 or not (self.values[1:] > self.values[:-1]).all():
+                raise ValueError("values must be non-negative and strictly increasing")
+            if self.counts.min() <= 0:
+                raise ValueError("counts must be positive")
 
     @property
     def domain_size(self) -> int:

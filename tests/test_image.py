@@ -87,6 +87,25 @@ class TestLevelPartition:
         with pytest.raises(ValueError):
             LevelPartition(np.array([1, 2]), np.array([3]))
 
+    @pytest.mark.parametrize(
+        "values, counts",
+        [
+            ([[1, 2]], [[3, 4]]),  # not 1-D
+            ([-1, 2], [3, 4]),  # a negative value
+            ([3, 1], [2, 2]),  # descending
+            ([2, 2], [1, 1]),  # repeated
+            ([1, 2], [0, 5]),  # a zero count
+            ([1, 2], [-1, 5]),  # a negative count
+        ],
+    )
+    def test_rejects_invalid_histograms(self, values, counts):
+        with pytest.raises(ValueError):
+            LevelPartition(np.array(values), np.array(counts))
+
+    def test_empty_partition_allowed(self):
+        part = LevelPartition(np.array([]), np.array([]))
+        assert part.values.size == 0 and part.domain_size == 0
+
     def test_empty_mask_rejected(self):
         with pytest.raises(DomainError, match="empty domain"):
             level_partition(Image(2, 2, [0, 1, 2, 3]), Mask([], 4))

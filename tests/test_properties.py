@@ -1,9 +1,10 @@
-"""Property tests of the three file parsers: typed errors only, and round trips.
+"""Property tests of the three file parsers and of the greedy merge loop.
 
-Everything here reads input from outside the program, so the only exception
-a parser may raise is its own: `PgmError` for PGM bytes, `ValueError` for
-`QSSPATH` and `QSSQPATH` text. Examples are derandomised so that a run is
-repeatable.
+The parsers read input from outside the program, so the only exception a
+parser may raise is its own: `PgmError` for PGM bytes, `ValueError` for
+`QSSPATH` and `QSSQPATH` text; valid files round-trip. The merge loop gives
+the steps of a reference that recomputes every cost at every step. Examples
+are derandomised so that a run is repeatable.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from qss.quantisation import (
     write_quant_path_file,
 )
 from qss.sparsification import SparsificationPath, read_path_file, write_path_file
+from test_quantisation import assert_merge_matches_reference
 
 repeatable = settings(derandomize=True, database=None, deadline=None)
 
@@ -166,3 +168,30 @@ def quant_paths(draw):
 @repeatable
 def test_valid_quant_path_file_round_trips(path):
     assert read_quant_path_file(write_quant_path_file(path)) == path
+
+
+@st.composite
+def merge_inputs(draw):
+    """Ascending values with tied counts, and a Gram whose clusters form
+    dense blocks (random basis rows) and single clusters (indicators)."""
+    values = sorted(draw(st.sets(st.integers(0, 255), min_size=1, max_size=40)))
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(values), max_size=len(values)))
+    blocks = draw(st.lists(st.integers(1, 6), min_size=1, max_size=len(values)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gram = np.diag(np.array(counts, dtype=np.float64))
+    dots = np.zeros(len(values))
+    start = 0
+    for size in blocks:
+        block = slice(start, min(start + size, len(values)))
+        if size > 1:
+            psi = rng.random((block.stop - block.start, 16))
+            dots[block] = psi @ rng.normal(0.0, 20.0, 16)
+            gram[block, block] = psi @ psi.T
+        start = block.stop
+    return np.array(values), np.array(counts), dots, gram
+
+
+@given(merge_inputs())
+@settings(repeatable, max_examples=150)
+def test_greedy_merge_matches_reference(case):
+    assert_merge_matches_reference(*case)

@@ -18,7 +18,8 @@ from qss import (
     uniform_path,
     ward_path,
 )
-from qss.quantisation import read_quant_path_file, write_quant_path_file
+from qss import quantisation
+from qss.quantisation import _greedy_merge, read_quant_path_file, write_quant_path_file
 
 from conftest import make_synthetic
 
@@ -189,6 +190,104 @@ class TestWardPath:
             path = ward_path(level_partition(img))
             lo, hi = path.initial_values[0], path.initial_values[-1]
             assert all(lo <= s.merged_value <= hi for s in path.steps)
+
+
+def greedy_merge_reference(values, counts, dots, gram):
+    """The merge loop that rebuilds every pair's cost at each step and
+    compacts the Gram matrix after each merge: O(levels^3) in all."""
+    v = np.asarray(values, dtype=np.int64)
+    n = np.array(counts, dtype=np.float64)
+    steps = []
+    while v.size > 1:
+        rep_low = n[:, None] >= n[None, :]  # v ascending: ties go to the smaller value
+        c = (v[:, None] - v[None, :]).astype(np.float64)
+        move = -2.0 * c * dots[None, :] + c * c * gram.diagonal()[None, :]
+        delta = np.where(rep_low, move, move.T)
+        delta[np.tri(v.size, dtype=bool)] = np.inf  # only pairs i < j
+        i, j = divmod(int(np.argmin(delta)), v.size)
+        keep, drop = (i, j) if rep_low[i, j] else (j, i)
+        r = int(v[keep])
+        steps.append(MergeStep(int(v[i]), int(v[j]), r))
+        # res -= (r - v_drop) psi_drop, then psi_keep += psi_drop
+        dots -= float(r - v[drop]) * gram[:, drop]
+        dots[keep] += dots[drop]
+        gram[keep, :] += gram[drop, :]
+        gram[:, keep] += gram[:, drop]
+        n[keep] += n[drop]
+        v, n, dots = (np.delete(a, drop) for a in (v, n, dots))
+        gram = np.delete(np.delete(gram, drop, 0), drop, 1)
+    return tuple(steps)
+
+
+def assert_merge_matches_reference(values, counts, dots, gram):
+    """`_greedy_merge` gives the reference's steps (each consumes copies)."""
+    args = (np.asarray(values), np.asarray(counts, dtype=np.float64))
+    got = _greedy_merge(*args, dots.copy(), gram.copy())
+    assert got == greedy_merge_reference(*args, dots.copy(), gram.copy())
+    assert len(got) == len(args[0]) - 1
+
+
+def diagonal_case(values, counts):
+    n = np.asarray(counts, dtype=np.float64)
+    return values, n, np.zeros(n.size), np.diag(n)
+
+
+def dense_case(rng, values, counts, pixels=48):
+    """The Gram and residual products of random non-negative basis rows."""
+    psi = rng.random((len(values), pixels))
+    res = rng.normal(0.0, 20.0, pixels)
+    return values, counts, psi @ res, psi @ psi.T
+
+
+class TestGreedyMerge:
+    def test_diagonal_gram_with_count_ties(self):
+        rng = np.random.default_rng(21)
+        for k in [2, 3, 17, 64, 130, 200, 256] + list(rng.integers(2, 257, 8)):
+            values = np.sort(rng.choice(256, size=int(k), replace=False))
+            counts = rng.integers(1, 4, size=int(k))
+            assert_merge_matches_reference(*diagonal_case(values, counts))
+
+    @pytest.mark.parametrize("k", [256, 200, 64])
+    def test_all_ties_ramp(self, k):
+        assert_merge_matches_reference(*diagonal_case(np.arange(k), np.full(k, 16)))
+
+    def test_dense_gram(self):
+        rng = np.random.default_rng(22)
+        for k in [2, 3, 8, 31, 64]:
+            values = np.sort(rng.choice(256, size=k, replace=False))
+            counts = rng.integers(1, 4, size=k)
+            assert_merge_matches_reference(*dense_case(rng, values, counts))
+
+    def test_block_diagonal_gram_runs_both_updates(self, monkeypatch):
+        calls = {"_pair_costs": 0, "_costs_with": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(quantisation, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(quantisation, name, counted)
+        rng = np.random.default_rng(23)
+        # two dense blocks below 100, then single clusters as in Ward
+        for low, high, singles in [(3, 4, 6), (8, 12, 20), (20, 20, 24)]:
+            k = low + high + singles
+            values = np.concatenate(
+                [np.sort(rng.choice(100, low + high, replace=False)), 200 + np.arange(singles)])
+            counts = rng.integers(1, 4, size=k)
+            gram = np.diag(counts.astype(np.float64))
+            dots = np.zeros(k)
+            for block in (slice(0, low), slice(low, low + high)):
+                _, _, dots[block], gram[block, block] = dense_case(
+                    rng, values[block], counts[block])
+            calls.update(dict.fromkeys(calls, 0))
+            assert_merge_matches_reference(values, counts, dots, gram)
+            assert calls["_costs_with"] > 0  # updates of one cluster's costs
+            assert calls["_pair_costs"] > 2  # and recomputations of all of them
+
+    def test_one_and_two_clusters(self):
+        rng = np.random.default_rng(24)
+        for values, counts in [([7], [3]), ([2, 9], [1, 1]), ([2, 9], [1, 5])]:
+            assert_merge_matches_reference(*diagonal_case(values, counts))
+            assert_merge_matches_reference(*dense_case(rng, values, counts))
 
 
 def spars_candidate_mses(original, current, mask, active_values):
