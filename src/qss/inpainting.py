@@ -4,6 +4,11 @@ Reconstructs an image from known pixels by solving the discrete Laplace
 equation at the unknown pixels (5-point stencil, reflecting boundaries via
 degree-adjusted stencils). Known pixels are eliminated into the right-hand
 side, leaving a sparse SPD system.
+
+scipy is imported where it is first used: `scipy.sparse` in
+`_grid_laplacian`, where every sparse matrix of the package starts, and
+`scipy.sparse.linalg` in `_factorize`. A process that never inpaints, such
+as a uniform or Ward scale-space, loads numpy only.
 """
 
 from __future__ import annotations
@@ -11,12 +16,14 @@ from __future__ import annotations
 import functools
 import os
 import threading
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .image import DomainError, Image, Mask, _domain
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Largest absolute residual any solve may leave in an equation.
 RESIDUAL_BOUND = 1e-9
@@ -45,7 +52,10 @@ def _factorize(A: sp.spmatrix):
     hence positive definite: the diagonal pivots need no partial pivoting.
     The minimum-degree order on A^T + A then keeps the fill of a symmetric
     factorisation; with pivoting left on, that order fills far worse.
+    Imports `scipy.sparse.linalg`, at the first factorisation of a process.
     """
+    import scipy.sparse.linalg as spla
+
     return spla.splu(
         A.tocsc(),
         permc_spec="MMD_AT_PLUS_A",
@@ -103,8 +113,10 @@ def _grid_laplacian(width: int, height: int) -> sp.csr_matrix:
     neighbour. Row p is the equation of pixel p whenever p is unknown.
 
     It is the Kronecker sum of the reflecting Laplacians of a row and of a
-    column, whose diagonal is 1, 2, ..., 2, 1.
+    column, whose diagonal is 1, 2, ..., 2, 1. Imports `scipy.sparse`, at
+    the first inpainting of a process.
     """
+    import scipy.sparse as sp
 
     def chain(n):
         diagonal = np.full(n, 2.0)

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ import pytest
 from qss import (
     Image,
     coding_cost,
+    inpaint,
     load_pgm,
     probabilistic_sparsify,
     read_pgm,
@@ -481,3 +487,60 @@ def test_cli_failure_is_one_error_line(
     assert out.err.startswith("error: " + message)
     assert out.err.count("\n") == 1
     assert not (tmp_path / "x.pgm").exists()
+
+
+_FRESH_INTERPRETER = textwrap.dedent("""
+    import json, sys
+
+    import qss
+    from qss.cli import main
+    from qss.sparsification import read_path_file
+
+    def sparse_modules():
+        return sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+
+    args = json.loads(sys.argv[1])
+    steps = [["import qss, qss.cli", None, sparse_modules()]]
+    for argv in args["commands"]:
+        steps.append([argv[0], main(argv), sparse_modules()])
+    mask = read_path_file(open(args["path"]).read()).mask_at(args["scale"])
+    qss.inpaint(qss.load_pgm(args["pgm"]), mask).tofile(args["out"])
+    steps.append(["inpaint", None, sparse_modules()])
+    print(json.dumps(steps))
+""")
+
+
+def test_only_inpainting_loads_scipy(tmp_path):
+    """In a fresh interpreter, importing qss, the tonal commands (uniform
+    and Ward, with or without a mask) and an input error load no
+    scipy.sparse module; the first inpainting loads it and gives the
+    in-process result."""
+    img = make_synthetic(16)
+    pgm_path, path_file, bad = tmp_path / "in.pgm", tmp_path / "p.txt", tmp_path / "bad.pgm"
+    save_pgm(pgm_path, img)
+    spath = probabilistic_sparsify(img, seed=0)
+    path_file.write_text(write_path_file(spath))
+    bad.write_bytes(b"P5 trash")
+    report = str(tmp_path / "r.csv")
+    commands = [
+        ["scalespace", str(pgm_path), "--method", "uniform", "--report", report],
+        ["scalespace", str(pgm_path), "--method", "ward", "--report", report],
+        ["scalespace", str(pgm_path), "--method", "ward", "--mask", "%s@0.5" % path_file,
+         "--report", report],
+        ["quantise", str(pgm_path), "--method", "uniform", "--levels", "4",
+         "--out", str(tmp_path / "q")],
+        ["scalespace", str(bad), "--method", "ward", "--report", report],
+    ]
+    out = tmp_path / "u.f64"
+    args = {"commands": commands, "path": str(path_file), "scale": 128,
+            "pgm": str(pgm_path), "out": str(out)}
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH_INTERPRETER, json.dumps(args)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    steps = json.loads(run.stdout.splitlines()[-1])
+    assert [code for _, code, _ in steps] == [None, 0, 0, 0, 0, 2, None], steps
+    assert all(sparse == [] for _, _, sparse in steps[:-1]), steps
+    assert "scipy.sparse.linalg" in steps[-1][2]
+    assert np.array_equal(np.fromfile(out), inpaint(img, spath.mask_at(128)))
