@@ -161,17 +161,22 @@ def level_partition(image: Image, mask: Mask | None = None) -> LevelPartition:
     return _histogram(_domain(image, mask))
 
 
-def _histogram(values: np.ndarray, counts: np.ndarray | None = None) -> LevelPartition:
-    """Histogram of non-negative integer values, by one `np.bincount`; with
-    `counts`, values[k] stands for counts[k] pixels (a histogram re-binned)."""
-    counts = np.bincount(values, counts)
+def _histogram(values: np.ndarray) -> LevelPartition:
+    """Histogram of non-negative integer values, by one `np.bincount`."""
+    counts = np.bincount(values)
     occurring = np.flatnonzero(counts)
     return LevelPartition(occurring, counts[occurring])
 
 
-def entropy(partition: LevelPartition) -> float:
-    """Shannon entropy of the level-set histogram, in bits per pixel."""
-    p = partition.counts / partition.domain_size
+def entropy(partition: LevelPartition | np.ndarray) -> float:
+    """Shannon entropy of the level-set histogram, in bits per pixel.
+
+    `partition` is a `LevelPartition` or its counts alone: positive, in
+    ascending value order, which the summation follows, so a histogram
+    gives the same bits either way.
+    """
+    counts = partition.counts if isinstance(partition, LevelPartition) else partition
+    p = counts / counts.sum()
     # 0.0 - x, not -x: a single level gives +0.0 rather than -0.0
     return float(0.0 - np.sum(p * np.log2(p)))
 

@@ -99,8 +99,8 @@ def _check_initial_values(values: np.ndarray, path: QuantisationPath) -> None:
 
 
 def _quantised_known_values(values: np.ndarray, path: QuantisationPath, grey_depth: int):
-    """Yield `values` (the domain values, or a histogram's occurring values)
-    after the first m steps, m = 0 ... len(path).
+    """Yield the domain values `values` after the first m steps,
+    m = 0 ... len(path).
 
     By the semigroup property every scale is read from `values` through one
     lookup table over [0, grey_depth) that the steps continue in turn, so
@@ -172,8 +172,9 @@ def _greedy_merge(values, counts, dots, gram):
 
     Cluster k has grey value v_k = `values[k]` (ascending), occurrence count
     n_k = `counts[k]` and basis function psi_k; the reconstruction is
-    sum_k v_k psi_k. `gram` is psi psi^T and `dots` is psi . res, res
-    being the original minus the reconstruction; the loop consumes both.
+    sum_k v_k psi_k. `gram` is psi psi^T, or a 1-D array of its diagonal
+    when the matrix is diagonal, and `dots` is psi . res, res being the
+    original minus the reconstruction; the loop consumes both.
     Moving cluster j onto v_i changes the error by
     move[i, j] = -2c (psi_j . res) + c^2 (psi_j . psi_j), c = v_i - v_j.
     A merge of i < j keeps the member with the larger count (the smaller
@@ -181,23 +182,26 @@ def _greedy_merge(values, counts, dots, gram):
     smallest change, the first in row-major order on ties.
 
     The clusters keep their indices: v, n, dots and the Gram diagonal g are
-    vectors over all initial clusters, and a merge adds the dropped
-    cluster's row and column of `gram` to the kept one's and zeroes them,
-    in O(levels). A merge changes the costs of the kept cluster and of the
-    clusters in the support of the dropped one's Gram column only. When
-    that is the kept cluster alone, as for a diagonal Gram (Ward, or a
-    full mask), the loop keeps the cost matrix and each row's minimum
-    (first column on ties): it rewrites the kept cluster's row and column,
-    compares each row above with its one changed entry, and recomputes the
-    rows whose minimum was at the kept or dropped cluster. That is
-    O(levels) per step, plus O(levels) per recomputed row, of which there
-    are few on images (about 6 on average at 256 levels). Otherwise, as
-    for the dense Gram of a mask with unknowns, the next step recomputes
-    every surviving pair's cost from the vectors, in O(levels^2).
+    vectors over all initial clusters. Given the diagonal alone, a merge
+    updates g and dots at the kept and dropped cluster, in O(1); given the
+    matrix, it adds the dropped cluster's row and column to the kept one's
+    and zeroes them, in O(levels). A merge changes the costs of the kept
+    cluster and of the clusters in the support of the dropped one's Gram
+    column only. When that is the kept cluster alone, as for a diagonal
+    Gram (Ward, or a full mask), the loop keeps the cost matrix and each
+    row's minimum (first column on ties): it rewrites the kept cluster's
+    row and column, compares each row above with its one changed entry,
+    and recomputes the rows whose minimum was at the kept or dropped
+    cluster. That is O(levels) per step, plus O(levels) per recomputed
+    row, of which there are few on images (about 6 on average at 256
+    levels). Otherwise, as for the dense Gram of a mask with unknowns, the
+    next step recomputes every surviving pair's cost from the vectors, in
+    O(levels^2).
     """
     v = np.asarray(values, dtype=np.int64)
     n = np.array(counts, dtype=np.float64)
-    g = gram.diagonal().copy()
+    dense = gram.ndim == 2
+    g = gram.diagonal().copy() if dense else gram
     alive = np.ones(v.size, dtype=bool)
     cost = None  # the stored pair costs, None when a merge left them stale
     steps = []
@@ -212,15 +216,20 @@ def _greedy_merge(values, counts, dots, gram):
         keep, drop = (i, j) if n[i] >= n[j] else (j, i)
         r = int(v[keep])
         steps.append(MergeStep(int(v[i]), int(v[j]), r))
-        col = gram[:, drop]
-        diagonal = np.count_nonzero(col) == (col[keep] != 0) + (col[drop] != 0)
         # res -= (r - v_drop) psi_drop, then psi_keep += psi_drop
-        dots -= float(r - v[drop]) * col
+        if dense:
+            col = gram[:, drop]
+            diagonal = np.count_nonzero(col) == (col[keep] != 0) + (col[drop] != 0)
+            dots -= float(r - v[drop]) * col
+            gram[keep] += gram[drop]
+            gram[:, keep] += gram[:, drop]
+            gram[drop] = gram[:, drop] = 0.0
+            g[keep] = gram[keep, keep]
+        else:
+            diagonal = True
+            dots[drop] -= float(r - v[drop]) * g[drop]
+            g[keep] += g[drop]
         dots[keep] += dots[drop]
-        gram[keep] += gram[drop]
-        gram[:, keep] += gram[:, drop]
-        gram[drop] = gram[:, drop] = 0.0
-        g[keep] = gram[keep, keep]
         n[keep] += n[drop]
         alive[drop] = False
         if not diagonal:
@@ -255,13 +264,14 @@ def ward_path(partition: LevelPartition) -> QuantisationPath:
     cluster with the largest occurrence count. This is the merge loop of
     `sparsification_quant_path` with a full mask, whose basis functions
     are the level-set indicators: their Gram matrix is the diagonal of the
-    counts and the initial residual is zero, so every update stays an
-    exact integer.
+    counts, which is all `_greedy_merge` is given, and the initial residual
+    is zero, so every update stays an exact integer and costs O(1) besides
+    the pair costs.
     """
     if partition.values.size == 0:
         raise DomainError("empty partition")
     n = partition.counts.astype(np.float64)
-    steps = _greedy_merge(partition.values, n, np.zeros(n.size), np.diag(n))
+    steps = _greedy_merge(partition.values, n, np.zeros(n.size), n.copy())
     return QuantisationPath(tuple(partition.values), steps)
 
 

@@ -1,11 +1,13 @@
 """Quantisation scale-spaces as image streams, and executable property checks.
 
 `generate` yields the images one at a time. Every property checked is read
-from a level histogram (level count, entropy, lowest and highest value): the
-verifiers partition each image of a sequence once, in a single pass, and
-`report_csv` walks the path over one histogram of the domain, building no
-image per scale. Verifiers return structured per-step reports rather than
-booleans so the same numbers can be dumped as CSV.
+from four statistics of a scale's histogram: the level count, the lowest
+and highest value, and the entropy. The verifiers partition each image of a
+sequence once, in a single pass; `report_csv` carries per-value sums along
+the path over one histogram of the domain, building neither an image nor a
+histogram per scale. Both feed `_check`, so one set of rules judges them.
+Verifiers return structured per-step reports rather than booleans so the
+same numbers can be dumped as CSV.
 """
 
 from __future__ import annotations
@@ -14,8 +16,15 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .image import Image, Mask, _domain, _histogram, _with_domain, entropy, level_partition
-from .quantisation import QuantisationPath, _quantised_known_values, apply_path, apply_steps
+import numpy as np
+
+from .image import (
+    Image, LevelPartition, Mask, _domain, _with_domain, entropy, level_partition,
+)
+from .quantisation import (
+    PathError, QuantisationPath, _check_initial_values, _quantised_known_values, apply_path,
+    apply_steps,
+)
 
 ENTROPY_TOL = 1e-12
 
@@ -49,20 +58,23 @@ class BoundReport:
         return not self.violations
 
 
-def _check(partitions):
-    """Judge every rule along a sequence of histograms in one pass.
+def _stats(part: LevelPartition):
+    """(levels, lowest value, highest value, entropy) of one histogram."""
+    return part.values.size, int(part.values[0]), int(part.values[-1]), entropy(part)
 
-    Each `LevelPartition` is the histogram of one scale. Entropy never
-    increases, and drops strictly on a real merge: a merge of two non-empty
-    level sets shows as a drop in the number of occurring values, while
-    steps touching an empty level set leave the histogram unchanged. Total
-    contrast never increases. Every scale stays within [min f^0, max f^0].
-    An empty sequence raises ValueError.
+
+def _check(stats):
+    """Judge every rule along a sequence of per-scale statistics in one pass.
+
+    Each item is `_stats` of one scale's histogram: (levels, lo, hi,
+    entropy). Entropy never increases, and drops strictly on a real merge:
+    a merge of two non-empty level sets shows as a drop in the number of
+    occurring values, while steps touching an empty level set leave the
+    histogram unchanged. Total contrast never increases. Every scale stays
+    within [min f^0, max f^0]. An empty sequence raises ValueError.
     """
     lyap, contrast, bounds = LyapunovReport(), BoundReport(), BoundReport()
-    for m, part in enumerate(partitions):
-        h, levels = entropy(part), part.values.size
-        lo, hi = int(part.values[0]), int(part.values[-1])
+    for m, (levels, lo, hi, h) in enumerate(stats):
         if m > 0:
             h0 = lyap.entropies[-1]
             if h > h0 + ENTROPY_TOL:
@@ -85,17 +97,17 @@ def _check(partitions):
 
 def verify_lyapunov_entropy(sequence, mask: Mask | None = None) -> LyapunovReport:
     """Check that entropy never increases and strictly drops on real merges."""
-    return _check(level_partition(img, mask) for img in sequence)[0]
+    return _check(_stats(level_partition(img, mask)) for img in sequence)[0]
 
 
 def verify_contrast_lyapunov(sequence, mask: Mask | None = None) -> BoundReport:
     """Total contrast is non-increasing along the sequence."""
-    return _check(level_partition(img, mask) for img in sequence)[1]
+    return _check(_stats(level_partition(img, mask)) for img in sequence)[1]
 
 
 def verify_maxmin(sequence, mask: Mask | None = None) -> BoundReport:
     """All scales stay within [min f^0, max f^0]."""
-    return _check(level_partition(img, mask) for img in sequence)[2]
+    return _check(_stats(level_partition(img, mask)) for img in sequence)[2]
 
 
 def verify_semigroup(
@@ -108,32 +120,71 @@ def verify_semigroup(
     return direct == staged
 
 
+def _walk(part: LevelPartition, path: QuantisationPath, grey_depth: int):
+    """Yield (`_stats`, squared error) of every scale m = 0 ... len(path).
+
+    `part` is the histogram of the domain of f^0. Each value x carries the
+    pixel count n_x and the sum S_x of the original values of the pixels
+    now at x. A step moves its two sources' sums onto the merged value r
+    and adds its change of the squared error against f^0,
+    (n_a + n_b) r^2 - 2r (S_a + S_b) - (n_a a^2 - 2a S_a) - (n_b b^2 - 2b S_b),
+    an exact integer (the sums of squared original values cancel). A step
+    between two absent values changes nothing; any other reads the
+    statistics from the counts, the entropy from the occurring ones in
+    ascending value order, as of a histogram.
+    """
+    n = np.zeros(grey_depth, dtype=np.int64)
+    n[part.values] = part.counts
+    s = (n * np.arange(grey_depth)).tolist()
+    stats, err = _stats(part), 0
+    yield stats, err
+    for step in path.steps:
+        a, b, r = step.source_low, step.source_high, step.merged_value
+        na, nb = int(n[a]), int(n[b])
+        if na or nb:
+            sa, sb = s[a], s[b]
+            err += ((na + nb) * r * r - 2 * r * (sa + sb)
+                    - na * a * a + 2 * a * sa - nb * b * b + 2 * b * sb)
+            n[a] = n[b] = s[a] = s[b] = 0
+            n[r], s[r] = na + nb, sa + sb
+            occurring = np.flatnonzero(n)
+            stats = (occurring.size, int(occurring[0]), int(occurring[-1]),
+                     entropy(n[occurring]))
+        yield stats, err
+
+
 def report_csv(image: Image, mask: Mask | None, path: QuantisationPath):
     """Per-step CSV: step, active_levels, entropy_bits, contrast, mse, pass flags.
 
     The domain (the mask when one is supplied, the whole image otherwise)
-    is partitioned once and the path walks its occurring values v: at scale
-    m the counts n_v are re-binned at the scaled values s_v, and the MSE
-    against f^0 is the exact integer sum of n_v (s_v - v)^2 over the domain
-    size. Returns the CSV text and the entropy report of `generate`'s images.
+    is partitioned once and `_walk` carries each grey value's pixel count
+    and sum of original values along the path, O(1) per step plus the
+    entropy of the steps that change the histogram. The MSE against f^0 is
+    the exact integer squared error over the domain size. The statistics
+    are judged by `_check`, as the verifiers judge generated images. The
+    path's values must lie in [0, grey_depth), as `generate`'s images do.
+    Returns the CSV text and the entropy report of `generate`'s images.
     """
     part = level_partition(image, mask)
-    scales = list(_quantised_known_values(part.values, path, image.grey_depth))
-    lyap, contrast, bounds = _check(_histogram(s, part.counts) for s in scales)
+    _check_initial_values(part.values, path)
+    if path.initial_values[0] < 0 or path.initial_values[-1] >= image.grey_depth:
+        raise PathError("path values outside [0, %d)" % image.grey_depth)
+    scales = list(_walk(part, path, image.grey_depth))
+    lyap, contrast, bounds = _check(stats for stats, _ in scales)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["step", "active_levels", "entropy_bits", "contrast", "mse",
          "entropy_ok", "contrast_ok", "maxmin_ok"]
     )
-    for m, s in enumerate(scales):
+    for m, (_, err) in enumerate(scales):
         writer.writerow(
             [
                 m,
                 lyap.active_levels[m],
                 "%.12g" % lyap.entropies[m],
                 contrast.values[m],
-                "%.12g" % (int(part.counts @ (s - part.values) ** 2) / part.domain_size),
+                "%.12g" % (err / part.domain_size),
                 int(m - 1 not in lyap.violations and m - 1 not in lyap.strict_violations),
                 int(m - 1 not in contrast.violations),
                 int(m not in bounds.violations),

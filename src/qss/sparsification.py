@@ -103,6 +103,7 @@ def probabilistic_sparsify(
                 u = inpaint(image, rest)
             else:
                 if solver is None or solver.border_columns + c > _BORDER_COLUMNS:
+                    solver = None  # free the kept factorisation before the next
                     solver = InpaintSolver(Mask(known, n), image.width, image.height)
                     base = solver.solve(_domain(image, solver.mask))
                 u = solver.solve_bordered(base, rest)

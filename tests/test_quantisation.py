@@ -220,11 +220,14 @@ def greedy_merge_reference(values, counts, dots, gram):
 
 
 def assert_merge_matches_reference(values, counts, dots, gram):
-    """`_greedy_merge` gives the reference's steps (each consumes copies)."""
+    """`_greedy_merge` gives the reference's steps (each consumes copies),
+    from the Gram matrix and, when it is diagonal, from its diagonal alone."""
     args = (np.asarray(values), np.asarray(counts, dtype=np.float64))
     got = _greedy_merge(*args, dots.copy(), gram.copy())
     assert got == greedy_merge_reference(*args, dots.copy(), gram.copy())
     assert len(got) == len(args[0]) - 1
+    if np.array_equal(gram, np.diag(gram.diagonal())):
+        assert _greedy_merge(*args, dots.copy(), gram.diagonal().copy()) == got
 
 
 def diagonal_case(values, counts):

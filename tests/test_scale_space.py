@@ -5,6 +5,7 @@ from qss import (
     Image,
     Mask,
     MergeStep,
+    PathError,
     QuantisationPath,
     apply_path,
     generate,
@@ -224,6 +225,19 @@ def test_report_csv_flags_and_mse_by_hand():
     assert lyap.passed and lyap.entropies == [1.0, 1.0, 1.0, 0.0]
 
 
+@pytest.mark.parametrize("path", [
+    QuantisationPath((1, 2, 4), (MergeStep(2, 4, 4),)),
+    QuantisationPath((-1, 1, 2), (MergeStep(-1, 1, -1),)),
+])
+def test_report_csv_rejects_path_values_outside_grey_range(path):
+    # generate's images could not hold the merged values either
+    img = Image(2, 1, [1, 2], 4)
+    with pytest.raises(ValueError):
+        list(generate(img, None, path))
+    with pytest.raises(PathError, match=r"outside \[0, 4\)"):
+        report_csv(img, None, path)
+
+
 def _report_oracle(image, mask, path):
     """`report_csv` computed image by image: every scale is generated, the
     verifiers judge the sequence, and the MSE is the mean of the squared
@@ -251,17 +265,33 @@ def _report_oracle(image, mask, path):
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_report_csv_equals_image_oracle(masked):
-    """The histogram walk gives the report of the generated images exactly."""
+    """The histogram walk gives the report of the generated images exactly,
+    through every kind of step: between two absent values, with one source
+    absent, onto a value distinct from both sources, and on a one-level
+    domain, at grey depths 256 and below."""
     rng = np.random.default_rng(7)
-    for full_hull in (True, False):
-        for _ in range(6):
-            img = random_image(rng, max_side=12, full_hull=full_hull)
-            mask = random_mask(rng, img) if masked else None
-            paths = [uniform_path(img.grey_depth), ward_of(img, mask)]
-            if masked:
-                paths.append(sparsification_quant_path(img, mask))
-            for path in paths:
-                assert report_csv(img, mask, path) == _report_oracle(img, mask, path)
+    images = [random_image(rng, max_side=12, full_hull=full_hull)
+              for full_hull in (True, False) for _ in range(6)]
+    images += [
+        Image(8, 2, np.resize([0, 7, 200, 255], 16)),  # four of 256 levels
+        Image(5, 3, np.resize([0, 3, 3, 9, 15], 15), grey_depth=16),
+        Image(3, 3, np.full(9, 5), grey_depth=8),  # one level
+    ]
+    kinds = set()
+    for img in images:
+        mask = random_mask(rng, img) if masked else None
+        paths = [uniform_path(img.grey_depth), ward_of(img, mask)]
+        if masked:
+            paths.append(sparsification_quant_path(img, mask))
+        for path in paths:
+            assert report_csv(img, mask, path) == _report_oracle(img, mask, path)
+            for f, step in zip(generate(img, mask, path), path.steps):
+                present = np.isin([step.source_low, step.source_high],
+                                  level_partition(f, mask).values)
+                kinds.add((int(present.sum()), step.merged_value in
+                           (step.source_low, step.source_high)))
+    # (sources present, merged value is a source): every kind occurred
+    assert kinds == {(0, True), (0, False), (1, True), (1, False), (2, True), (2, False)}
 
 
 @pytest.mark.parametrize(
