@@ -232,8 +232,7 @@ def rd_optimize(
     Returns the winning point, whose `cost` is its coding cost, and its
     reconstruction.
     """
-    if l_grid is None:
-        l_grid = default_l_grid(image.size)
+    l_grid = sorted(default_l_grid(image.size) if l_grid is None else l_grid)
     if not l_grid:
         raise ValueError("empty l grid")
     best = None

@@ -82,7 +82,9 @@ def _run_blocks(work, starts: range) -> None:
     thread and one helper thread per further CPU of `_cpus()`, at most one
     thread per start.
 
-    SuperLU's back-substitution releases the GIL, so the threads overlap.
+    SuperLU's back-substitutions do not run in parallel on threads, even on
+    separate factorisations; what overlaps is one block's products, scatter
+    and residual check with another block's back-substitution.
     Each stops at its own first failure; once all are joined, the failure
     of the earliest start is raised, the one a serial loop would raise.
     """

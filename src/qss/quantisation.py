@@ -182,20 +182,17 @@ def _greedy_merge(values, counts, dots, gram):
     smallest change, the first in row-major order on ties.
 
     The clusters keep their indices: v, n, dots and the Gram diagonal g are
-    vectors over all initial clusters. Given the diagonal alone, a merge
-    updates g and dots at the kept and dropped cluster, in O(1); given the
-    matrix, it adds the dropped cluster's row and column to the kept one's
-    and zeroes them, in O(levels). A merge changes the costs of the kept
-    cluster and of the clusters in the support of the dropped one's Gram
-    column only. When that is the kept cluster alone, as for a diagonal
-    Gram (Ward, or a full mask), the loop keeps the cost matrix and each
-    row's minimum (first column on ties): it rewrites the kept cluster's
-    row and column, compares each row above with its one changed entry,
-    and recomputes the rows whose minimum was at the kept or dropped
-    cluster. That is O(levels) per step, plus O(levels) per recomputed
-    row, of which there are few on images (about 6 on average at 256
-    levels). Otherwise, as for the dense Gram of a mask with unknowns, the
-    next step recomputes every surviving pair's cost from the vectors, in
+    vectors over all initial clusters, and the shape of `gram` sets the
+    update rule once per call. Given the diagonal alone (Ward, or a full
+    mask), a merge updates g and dots at the kept and dropped cluster and
+    changes the costs of the kept cluster only: the loop stores the
+    pair-cost matrix, rewrites the kept cluster's row and column after each
+    merge, and takes each step's pair by one argmin over the matrix, whose
+    first minimum is the first in row-major order. That is O(levels) of
+    cost arithmetic and one O(levels^2) argmin per step. Given the matrix
+    (the dense Gram of a mask with unknowns), a merge adds the dropped
+    cluster's row and column to the kept one's and zeroes them, and each
+    step recomputes every surviving pair's cost from the vectors, in
     O(levels^2).
     """
     v = np.asarray(values, dtype=np.int64)
@@ -203,57 +200,37 @@ def _greedy_merge(values, counts, dots, gram):
     dense = gram.ndim == 2
     g = gram.diagonal().copy() if dense else gram
     alive = np.ones(v.size, dtype=bool)
-    cost = None  # the stored pair costs, None when a merge left them stale
+    if not dense:
+        cost = _pair_costs(v, n, dots, g)
     steps = []
     for _ in range(v.size - 1):
-        if cost is None:
+        if dense:
             live = np.flatnonzero(alive)
             delta = _pair_costs(v[live], n[live], dots[live], g[live])
             i, j = (int(live[k]) for k in divmod(int(np.argmin(delta)), live.size))
         else:
-            i = int(np.argmin(row_min))
-            j = int(row_arg[i])
+            i, j = divmod(int(np.argmin(cost)), v.size)
         keep, drop = (i, j) if n[i] >= n[j] else (j, i)
         r = int(v[keep])
         steps.append(MergeStep(int(v[i]), int(v[j]), r))
         # res -= (r - v_drop) psi_drop, then psi_keep += psi_drop
         if dense:
-            col = gram[:, drop]
-            diagonal = np.count_nonzero(col) == (col[keep] != 0) + (col[drop] != 0)
-            dots -= float(r - v[drop]) * col
+            dots -= float(r - v[drop]) * gram[:, drop]
             gram[keep] += gram[drop]
             gram[:, keep] += gram[:, drop]
             gram[drop] = gram[:, drop] = 0.0
             g[keep] = gram[keep, keep]
         else:
-            diagonal = True
             dots[drop] -= float(r - v[drop]) * g[drop]
             g[keep] += g[drop]
         dots[keep] += dots[drop]
         n[keep] += n[drop]
         alive[drop] = False
-        if not diagonal:
-            cost = None
-        elif cost is None:
-            live = np.flatnonzero(alive)
-            cost = np.full((v.size, v.size), np.inf)
-            cost[np.ix_(live, live)] = _pair_costs(v[live], n[live], dots[live], g[live])
-            row_arg = cost.argmin(axis=1)
-            row_min = cost[np.arange(v.size), row_arg]
-        else:
-            cost[drop] = cost[:, drop] = row_min[drop] = np.inf
+        if not dense:
+            cost[drop] = cost[:, drop] = np.inf
             new = np.where(alive, _costs_with(keep, v, n, dots, g), np.inf)
             cost[keep, keep + 1:] = new[keep + 1:]
             cost[:keep, keep] = new[:keep]
-            lost = (row_arg == keep) | (row_arg == drop)
-            lost[keep] = True
-            above, head_min, head_arg = new[:keep], row_min[:keep], row_arg[:keep]
-            won = (above < head_min) | ((above == head_min) & (keep < head_arg))
-            head_min[won] = above[won]
-            head_arg[won] = keep
-            rows = np.flatnonzero(lost)
-            row_arg[rows] = cost[rows].argmin(axis=1)
-            row_min[rows] = cost[rows, row_arg[rows]]
     return tuple(steps)
 
 
@@ -265,8 +242,9 @@ def ward_path(partition: LevelPartition) -> QuantisationPath:
     `sparsification_quant_path` with a full mask, whose basis functions
     are the level-set indicators: their Gram matrix is the diagonal of the
     counts, which is all `_greedy_merge` is given, and the initial residual
-    is zero, so every update stays an exact integer and costs O(1) besides
-    the pair costs.
+    is zero, so every update stays an exact integer. A step rewrites the
+    kept cluster's O(levels) pair costs and takes one argmin over the
+    stored cost matrix.
     """
     if partition.values.size == 0:
         raise DomainError("empty partition")
@@ -286,9 +264,10 @@ def sparsification_quant_path(image: Image, mask: Mask | None) -> QuantisationPa
     residual. The merge loop needs only the Gram matrix of the basis
     functions and their inner products with the residual: forming them
     reads the image, O(levels^2 N) for N pixels, but a step does not. A
-    step costs O(levels^2) for a mask with unknowns, whose Gram is dense,
-    and O(levels) for a full mask, whose Gram is diagonal (see
-    `_greedy_merge`). With a full mask this reduces to Ward clustering.
+    step recomputes all O(levels^2) pair costs for a mask with unknowns,
+    whose Gram is dense, and only the kept cluster's O(levels) for a full
+    mask, whose Gram is the diagonal of the counts (see `_greedy_merge`).
+    With a full mask this reduces to Ward clustering, step for step.
     `evaluate_grid` builds the same path (`_spars_quant_path`) and
     reconstructs every scale through the same factorisation, so each mask
     it evaluates is factorised once. A `None` mask raises DomainError.
@@ -299,7 +278,13 @@ def sparsification_quant_path(image: Image, mask: Mask | None) -> QuantisationPa
 def _spars_quant_path(image: Image, mask: Mask | None):
     """(path, solver, psi): the path of `sparsification_quant_path`, the
     mask's `InpaintSolver` and the level basis psi of the known data's
-    occurring values (see `_level_basis`), from which the path is built."""
+    occurring values (see `_level_basis`), from which the path is built.
+
+    A mask with unknowns passes the dense Gram psi psi^T to `_greedy_merge`.
+    A full mask passes the counts instead: its basis functions are the
+    level-set indicators, whose Gram is the diagonal of the counts, so the
+    merge loop takes its diagonal update and psi psi^T is never formed.
+    """
     if mask is None:
         raise DomainError("the sparsification method needs a mask")
     known = _domain(image, mask)
@@ -308,7 +293,8 @@ def _spars_quant_path(image: Image, mask: Mask | None):
     psi = _level_basis(solver, known, part.values)
     v = part.values.astype(np.int64)
     res = image.pixels.astype(np.float64) - v @ psi
-    steps = _greedy_merge(v, part.counts, psi @ res, psi @ psi.T)
+    gram = psi @ psi.T if solver.n_unknown else part.counts.astype(np.float64)
+    steps = _greedy_merge(v, part.counts, psi @ res, gram)
     return QuantisationPath(tuple(part.values), steps), solver, psi
 
 

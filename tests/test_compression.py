@@ -125,6 +125,15 @@ class TestRdOptimize:
         )
         assert (point.l, point.m) == (best.l, best.m)
 
+    @pytest.mark.parametrize("l_grid", [[10, 40], [40, 10]])
+    def test_ties_go_to_larger_l_in_any_grid_order(self, l_grid):
+        # a constant image inpaints exactly from any mask: every point ties
+        img = Image(8, 8, np.full(64, 7))
+        spath = SparsificationPath(np.arange(64), 64)
+        point, rec = rd_optimize(img, spath, "ward", l_grid=l_grid)
+        assert (point.l, point.m, point.mse) == (40, 0, 0.0)
+        assert rec == img
+
 
 class TestEnvelope:
     def test_single_point(self):

@@ -242,6 +242,18 @@ def dense_case(rng, values, counts, pixels=48):
     return values, counts, psi @ res, psi @ psi.T
 
 
+def count_cost_calls(monkeypatch):
+    """Calls of `_pair_costs` and `_costs_with`, counted from now on."""
+    calls = {"_pair_costs": 0, "_costs_with": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(quantisation, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(quantisation, name, counted)
+    return calls
+
+
 class TestGreedyMerge:
     def test_diagonal_gram_with_count_ties(self):
         rng = np.random.default_rng(21)
@@ -261,14 +273,8 @@ class TestGreedyMerge:
             counts = rng.integers(1, 4, size=k)
             assert_merge_matches_reference(*dense_case(rng, values, counts))
 
-    def test_block_diagonal_gram_runs_both_updates(self, monkeypatch):
-        calls = {"_pair_costs": 0, "_costs_with": 0}
-        for name in calls:
-            def counted(*args, _f=getattr(quantisation, name), _name=name):
-                calls[_name] += 1
-                return _f(*args)
-
-            monkeypatch.setattr(quantisation, name, counted)
+    def test_block_diagonal_gram_update_set_by_shape(self, monkeypatch):
+        calls = count_cost_calls(monkeypatch)
         rng = np.random.default_rng(23)
         # two dense blocks below 100, then single clusters as in Ward
         for low, high, singles in [(3, 4, 6), (8, 12, 20), (20, 20, 24)]:
@@ -281,10 +287,17 @@ class TestGreedyMerge:
             for block in (slice(0, low), slice(low, low + high)):
                 _, _, dots[block], gram[block, block] = dense_case(
                     rng, values[block], counts[block])
-            calls.update(dict.fromkeys(calls, 0))
             assert_merge_matches_reference(values, counts, dots, gram)
-            assert calls["_costs_with"] > 0  # updates of one cluster's costs
-            assert calls["_pair_costs"] > 2  # and recomputations of all of them
+            # the 2-D Gram recomputes every pair's cost at each step
+            calls.update(dict.fromkeys(calls, 0))
+            _greedy_merge(values, counts.astype(np.float64), dots.copy(), gram.copy())
+            assert calls == {"_pair_costs": k - 1, "_costs_with": 0}
+            # a 1-D diagonal (Ward on these counts) computes them once, then
+            # one cluster's per step
+            calls.update(dict.fromkeys(calls, 0))
+            n = counts.astype(np.float64)
+            _greedy_merge(values, n, np.zeros(k), n.copy())
+            assert calls == {"_pair_costs": 1, "_costs_with": k - 1}
 
     def test_one_and_two_clusters(self):
         rng = np.random.default_rng(24)
@@ -360,6 +373,14 @@ class TestSparsificationQuantPath:
             ward = ward_path(level_partition(img))
             spars = sparsification_quant_path(img, Mask.full(img.size))
             assert ward == spars
+
+    def test_full_mask_takes_the_diagonal_update(self, monkeypatch):
+        img = make_synthetic(32)
+        ward = ward_path(level_partition(img))
+        calls = count_cost_calls(monkeypatch)
+        path, _, _ = quantisation._spars_quant_path(img, Mask.full(img.size))
+        assert path == ward
+        assert calls == {"_pair_costs": 1, "_costs_with": len(ward)}
 
     def test_single_value_empty_path(self):
         img = Image(3, 1, [4, 4, 4])
