@@ -2,6 +2,10 @@
 
 Subcommands: sparsify, quantise, scalespace, compress. Exit codes:
 0 success, 2 input error, 3 numerical failure, 4 infeasible budget.
+Commands raise, and `main` alone turns an error into its exit code, by
+its type: `InfeasibleBudgetError` 4, `InpaintingError` 3, any other
+`ValueError` 2. A failed entropy Lyapunov check is a result, not an
+error: `scalespace` writes its report and returns 3 itself.
 A command writes all of its output files or none (temp files, renamed
 only once all are written); an output that cannot be written, or two
 outputs naming one file, is an input error.
@@ -27,21 +31,13 @@ EXIT_INFEASIBLE = 4
 _METHODS = {"uniform": "uniform", "ward": "ward", "spars": "sparsification"}
 
 
-class CliError(Exception):
-    """A command failure with its exit code; `main` reports the message."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _load_image(path) -> Image:
     try:
         return pgm.load_pgm(path)
     except OSError as exc:
-        raise CliError(EXIT_INPUT, "cannot read %s: %s" % (path, exc))
+        raise ValueError("cannot read %s: %s" % (path, exc))
     except pgm.PgmError as exc:
-        raise CliError(EXIT_INPUT, "invalid PGM %s: %s" % (path, exc))
+        raise ValueError("invalid PGM %s: %s" % (path, exc))
 
 
 def _write(outputs) -> None:
@@ -49,37 +45,37 @@ def _write(outputs) -> None:
     try:
         pgm.write_atomic(outputs)
     except OSError as exc:
-        raise CliError(EXIT_INPUT, "cannot write %s: %s" % (exc.filename, exc.strerror))
+        raise ValueError("cannot write %s: %s" % (exc.filename, exc.strerror))
 
 
 def _parse_mask_arg(arg: str, image: Image) -> Mask:
     """Parse 'pathfile@density' into the mask of that density."""
     if "@" not in arg:
-        raise CliError(EXIT_INPUT, "mask must be given as pathfile@density")
+        raise ValueError("mask must be given as pathfile@density")
     file_part, density_part = arg.rsplit("@", 1)
     try:
         density = float(density_part)
     except ValueError:
-        raise CliError(EXIT_INPUT, "bad mask density %r" % density_part)
+        raise ValueError("bad mask density %r" % density_part)
     if not 0 < density <= 1:
-        raise CliError(EXIT_INPUT, "mask density must be in (0, 1]")
+        raise ValueError("mask density must be in (0, 1]")
     try:
         with open(file_part) as fh:
             path = sparsification.read_path_file(fh.read())
     except (OSError, ValueError) as exc:
-        raise CliError(EXIT_INPUT, "cannot load mask path: %s" % exc)
+        raise ValueError("cannot load mask path: %s" % exc)
     if path.image_size != image.size:
-        raise CliError(EXIT_INPUT, "mask path size does not match image")
+        raise ValueError("mask path size does not match image")
     return path.mask_at(image.size - math.ceil(density * image.size))
 
 
-def _method(args) -> str:
-    return _METHODS[args.method]
-
-
-def _resolve_method_and_mask(args, image: Image):
-    """(method, mask or None); without --mask the domain is the whole image."""
-    return _method(args), _parse_mask_arg(args.mask, image) if args.mask else None
+def _quant_path(args):
+    """(image, mask or None, method, path) of `quantise` and `scalespace`;
+    without --mask the domain is the whole image."""
+    image = _load_image(args.input)
+    method = _METHODS[args.method]
+    mask = _parse_mask_arg(args.mask, image) if args.mask else None
+    return image, mask, method, compression.build_quant_path(image, mask, method)
 
 
 def cmd_sparsify(args) -> int:
@@ -99,12 +95,10 @@ def cmd_sparsify(args) -> int:
 
 
 def cmd_quantise(args) -> int:
-    image = _load_image(args.input)
-    method, mask = _resolve_method_and_mask(args, image)
-    path = compression.build_quant_path(image, mask, method)
+    image, mask, _, path = _quant_path(args)
     available = len(path.initial_values)
     if not 1 <= args.levels <= available:
-        raise CliError(EXIT_INPUT, "levels %d not in [1, %d]" % (args.levels, available))
+        raise ValueError("levels %d not in [1, %d]" % (args.levels, available))
     quantised = apply_path(image, mask, path, available - args.levels)
     _write([
         (args.out + ".pgm", pgm.write_pgm(quantised)),
@@ -114,9 +108,7 @@ def cmd_quantise(args) -> int:
 
 
 def cmd_scalespace(args) -> int:
-    image = _load_image(args.input)
-    method, mask = _resolve_method_and_mask(args, image)
-    path = compression.build_quant_path(image, mask, method)
+    image, mask, method, path = _quant_path(args)
     text, lyap = scale_space.report_csv(image, mask, path)
     _write([(args.report, text.encode())])
     print(
@@ -124,7 +116,8 @@ def cmd_scalespace(args) -> int:
         % (method, len(path), "ok" if lyap.passed else "VIOLATED")
     )
     if not lyap.passed:
-        raise CliError(EXIT_NUMERICAL, "entropy Lyapunov check failed")
+        print("error: entropy Lyapunov check failed", file=sys.stderr)
+        return EXIT_NUMERICAL
     return 0
 
 
@@ -140,13 +133,13 @@ def _format_manifest(items) -> str:
 
 def cmd_compress(args) -> int:
     image = _load_image(args.input)
-    method = _method(args)
+    method = _METHODS[args.method]
     if (args.budget is None) == (args.ratio is None):
-        raise CliError(EXIT_INPUT, "give exactly one of --budget / --ratio")
+        raise ValueError("give exactly one of --budget / --ratio")
     if args.ratio is not None and not 0 < args.ratio < math.inf:
-        raise CliError(EXIT_INPUT, "ratio must be positive and finite")
+        raise ValueError("ratio must be positive and finite")
     if args.budget is not None and not args.budget > 0:
-        raise CliError(EXIT_INPUT, "budget must be positive")
+        raise ValueError("budget must be positive")
     budget = args.budget if args.budget is not None else 8.0 * image.size / args.ratio
     # rd_optimize reads no mask sparser than its smallest grid density
     spath = sparsification.probabilistic_sparsify(
@@ -230,17 +223,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, InpaintingError) as exc:
-        if isinstance(exc, CliError):
-            code = exc.code
-        elif isinstance(exc, compression.InfeasibleBudgetError):
-            code = EXIT_INFEASIBLE
-        elif isinstance(exc, InpaintingError):
-            code = EXIT_NUMERICAL
-        else:  # DomainError, PathError, PgmError and other ValueErrors
-            code = EXIT_INPUT
+    except (ValueError, InpaintingError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return code
+        if isinstance(exc, compression.InfeasibleBudgetError):
+            return EXIT_INFEASIBLE
+        # DomainError, PathError, PgmError and every other ValueError are input errors
+        return EXIT_NUMERICAL if isinstance(exc, InpaintingError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

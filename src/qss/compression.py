@@ -85,9 +85,11 @@ def coding_cost(known_values: np.ndarray, q_levels: int, method: str) -> CostMod
 
 
 def default_l_grid(image_size: int):
-    """Mask scales of the logarithmically spaced `DEFAULT_DENSITIES`."""
-    grid = sorted({image_size - math.ceil(d * image_size) for d in DEFAULT_DENSITIES})
-    return [l for l in grid if 0 <= l < image_size]
+    """Mask scales of the logarithmically spaced `DEFAULT_DENSITIES`.
+
+    Each density lies in (0, 1], so each scale lies in [0, image_size).
+    """
+    return sorted({image_size - math.ceil(d * image_size) for d in DEFAULT_DENSITIES})
 
 
 def build_quant_path(image: Image, mask: Mask | None, method: str) -> QuantisationPath:

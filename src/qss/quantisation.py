@@ -123,18 +123,13 @@ def uniform_path(grey_depth: int = 256) -> QuantisationPath:
     q = grey_depth
     if q < 2 or q & (q - 1):
         raise ValueError("grey depth must be a power of two >= 2")
-    # bins as (extent_lo, extent_hi, current value)
-    bins = [(v, v, v) for v in range(q)]
-    steps = []
-    while len(bins) > 1:
-        merged = []
-        for i in range(0, len(bins), 2):
-            lo_a, _, va = bins[i]
-            _, hi_b, vb = bins[i + 1]
-            r = (lo_a + hi_b + 1) // 2
-            steps.append(MergeStep(min(va, vb), max(va, vb), r))
-            merged.append((lo_a, hi_b, r))
-        bins = merged
+    # round k, w = 2^k, merges the bins [lo, lo + w) and [lo + w, lo + 2w)
+    # for each lo; their values are their midpoints, the merged one lo + w
+    steps = (
+        MergeStep(lo + w // 2, lo + w + w // 2, lo + w)
+        for w in (2**k for k in range(q.bit_length() - 1))
+        for lo in range(0, q, 2 * w)
+    )
     return QuantisationPath(tuple(range(q)), tuple(steps))
 
 

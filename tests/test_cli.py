@@ -18,9 +18,13 @@ from qss import (
     save_pgm,
     uniform_path,
 )
+from qss import cli
 from qss.cli import main
-from qss.compression import build_quant_path
-from qss.quantisation import apply_path, read_quant_path_file
+from qss.compression import InfeasibleBudgetError, build_quant_path
+from qss.image import DomainError
+from qss.inpainting import InpaintingError
+from qss.pgm import PgmError
+from qss.quantisation import PathError, apply_path, read_quant_path_file
 from qss.sparsification import read_path_file, write_path_file
 
 from conftest import make_synthetic
@@ -150,6 +154,26 @@ def test_mask_path_with_huge_size_is_input_error(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: cannot load mask path:")
     assert not (tmp_path / "x.pgm").exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (DomainError("empty domain"), 2),
+    (PathError("bad path"), 2),
+    (PgmError("bad pgm"), 2),
+    (ValueError("bad value"), 2),
+    (InfeasibleBudgetError(8.0), 4),
+    (InpaintingError("x", 1.0), 3),
+])
+def test_exit_code_follows_error_type(monkeypatch, capsys, error, code):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_quantise", failing)
+    argv = ["quantise", "in.pgm", "--method", "ward", "--levels", "1", "--out", "x"]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s\n" % error
 
 
 def test_negative_p2_sample_is_invalid_pgm(tmp_path, capsys):

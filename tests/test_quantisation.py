@@ -119,7 +119,27 @@ class TestApplyPath:
             apply_path(img, None, path, 2)
 
 
+def uniform_reference_steps(q):
+    """Pyramidal merging by simulating the bins, round by round."""
+    bins = [(v, v, v) for v in range(q)]  # (extent_lo, extent_hi, current value)
+    steps = []
+    while len(bins) > 1:
+        merged = []
+        for i in range(0, len(bins), 2):
+            lo_a, _, va = bins[i]
+            _, hi_b, vb = bins[i + 1]
+            r = (lo_a + hi_b + 1) // 2
+            steps.append(MergeStep(min(va, vb), max(va, vb), r))
+            merged.append((lo_a, hi_b, r))
+        bins = merged
+    return tuple(steps)
+
+
 class TestUniformPath:
+    @pytest.mark.parametrize("q", [2**k for k in range(1, 11)])
+    def test_matches_bin_simulation(self, q):
+        assert uniform_path(q).steps == uniform_reference_steps(q)
+
     def test_q2(self):
         path = uniform_path(2)
         assert [(s.source_low, s.source_high, s.merged_value) for s in path.steps] == [
