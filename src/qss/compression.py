@@ -46,7 +46,6 @@ class InfeasibleBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class CostModel:
-    method: str
     per_value_bits: float
     n_known: int
     overhead_bits: float
@@ -81,7 +80,7 @@ def coding_cost(known_values: np.ndarray, q_levels: int, method: str) -> CostMod
         raise DomainError("empty known data")
     per_value = entropy(_histogram(values))
     overhead = 8.0 if method == "uniform" else 8.0 * q_levels
-    return CostModel(method, per_value, int(values.size), overhead)
+    return CostModel(per_value, int(values.size), overhead)
 
 
 def default_l_grid(image_size: int):

@@ -275,7 +275,8 @@ class InpaintSolver:
             self._check_residual(self._rows @ u.T)
 
     def _check_residual(self, r: np.ndarray) -> None:
-        residual = float(max(r.max(), -r.min()))  # max |r|, without a copy
+        # max |r|, without a copy; 0 for an empty block
+        residual = float(max(r.max(initial=0.0), -r.min(initial=0.0)))
         if not residual <= RESIDUAL_BOUND:  # a NaN residual fails too
             raise InpaintingError(
                 "inpainting did not converge: residual %.3e > %.3e"

@@ -1,47 +1,30 @@
 """PGM (P2/P5) reading and P5 writing, maxval up to 255.
 
-Comment lines starting with '#' are permitted anywhere in the header after
-the magic token.
+Tokens are separated by whitespace, the bytes of `bytes.isspace`. A '#'
+comment may start wherever a token may, in the header after the magic and
+in a P2 raster, and runs to the end of its line; it also ends a token it
+touches. Exactly one whitespace byte separates a P5 header from its raster,
+whose bytes are all pixels.
 """
 
 from __future__ import annotations
 
 import errno
 import os
-import tempfile
+import re
+from itertools import islice
 
 import numpy as np
 
 from .image import Image
 
+# a '#' comment to the end of its line, or a token; in a bytes pattern \s is
+# exactly the whitespace of bytes.isspace()
+_TOKEN = re.compile(rb"#[^\n]*|[^\s#]+")
+
 
 class PgmError(ValueError):
     """Malformed PGM input."""
-
-
-def _header_tokens(data: bytes, count: int, start: int):
-    """Read `count` whitespace-separated tokens, skipping '#' comments.
-
-    Returns the tokens and the offset one past the final token.
-    """
-    tokens = []
-    i = start
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] != ord("\n"):
-                i += 1
-            continue
-        if i >= n:
-            raise PgmError("malformed header: unexpected end of file")
-        j = i
-        while j < n and not data[j : j + 1].isspace() and data[j] != ord("#"):
-            j += 1
-        tokens.append(data[i:j])
-        i = j
-    return tokens, i
 
 
 def read_pgm(data: bytes) -> Image:
@@ -51,9 +34,12 @@ def read_pgm(data: bytes) -> Image:
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise PgmError("malformed header: unknown magic %r" % magic)
-    tokens, pos = _header_tokens(data, 3, 2)
+    tokens = (m for m in _TOKEN.finditer(data, 2) if not m[0].startswith(b"#"))
+    header = list(islice(tokens, 3))
+    if len(header) < 3:
+        raise PgmError("malformed header: unexpected end of file")
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(m[0]) for m in header)
     except ValueError:
         raise PgmError("malformed header: non-numeric dimension") from None
     if width <= 0 or height <= 0:
@@ -61,9 +47,10 @@ def read_pgm(data: bytes) -> Image:
     if maxval <= 0 or maxval > 255:
         raise PgmError("unsupported maxval %d (must be in [1, 255])" % maxval)
     n = width * height
+    pos = header[-1].end()
     if magic == b"P5":
         # exactly one whitespace byte separates the header from the raster
-        if pos >= len(data) or not data[pos : pos + 1].isspace():
+        if not data[pos : pos + 1].isspace():
             raise PgmError("malformed header: missing raster separator")
         raster = data[pos + 1 : pos + 1 + n]
         if len(raster) < n:
@@ -72,11 +59,11 @@ def read_pgm(data: bytes) -> Image:
         if pixels.max() > maxval:
             raise PgmError("pixel value exceeds maxval %d" % maxval)
     else:
+        raster = [m[0] for m in islice(tokens, n)]
+        if len(raster) < n:
+            raise PgmError("truncated pixel data: expected %d samples" % n)
         try:
-            tokens, _ = _header_tokens(data, n, pos)
-            samples = [int(t) for t in tokens]
-        except PgmError:
-            raise PgmError("truncated pixel data: expected %d samples" % n) from None
+            samples = [int(t) for t in raster]
         except ValueError:
             raise PgmError("malformed pixel data: non-numeric sample") from None
         # checked as Python ints: a huge sample must not overflow int64
@@ -107,27 +94,28 @@ def write_atomic(outputs) -> None:
     failure to write any of them (a target that is a directory included)
     removes every temp and renames nothing. Two targets that resolve to
     one file raise ValueError before any temp is made. An OSError carries
-    the target it failed on as its `filename`. Files get the mode that
-    `open()` gives a new file, 0o666 less the umask, not the 0o600 of
-    `tempfile.mkstemp`.
+    the target it failed on as its `filename`. Each temp, named
+    `.qss-<16 hex digits>.tmp`, is created with mode 0o666, so the kernel
+    sets its mode at creation as it does for `open()`: the umask and any
+    default ACL apply, and the process umask is never touched.
     """
     outputs = [(os.fspath(path), data) for path, data in outputs]
     real = [os.path.realpath(path) for path, _ in outputs]
     for k, (path, _) in enumerate(outputs):
         if real[k] in real[:k]:
             raise ValueError("two outputs name the same file %s" % path)
-    umask = os.umask(0)  # reading the umask means setting it
-    os.umask(umask)
     temps = []
     try:
         for path, data in outputs:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+            tmp = os.path.join(os.path.dirname(path), ".qss-%s.tmp" % os.urandom(8).hex())
+            # O_BINARY (Windows only) keeps the bytes untranslated
+            flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+            fd = os.open(tmp, flags, 0o666)
             temps.append(tmp)
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
-            os.chmod(tmp, 0o666 & ~umask)
         for (path, _), tmp in zip(outputs, temps):
             os.replace(tmp, path)
     except OSError as exc:

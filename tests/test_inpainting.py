@@ -162,6 +162,14 @@ def test_check_reads_the_known_pixels_of_the_reconstruction():
         solver.check(np.stack([known, known]), np.stack([solver.solve(known), u]))
 
 
+def test_check_accepts_the_empty_block_solve_returns():
+    solver = InpaintSolver(Mask([0, 4], 9), 3, 3)
+    empty = np.empty((0, 2))
+    u = solver.solve(empty)
+    assert u.shape == (0, 9)
+    solver.check(empty, u)
+
+
 def laplacian(u, width, height):
     """Degree-adjusted 5-point Laplacian (reflecting boundaries) of a grid."""
     grid = u.reshape(height, width)

@@ -51,6 +51,29 @@ def test_parse_errors(data, match):
         read_pgm(data)
 
 
+@pytest.mark.parametrize(
+    "data,expected",
+    [
+        (b"P2 2 1 255 7#c\n9", [7, 9]),  # a comment ends the token it touches
+        (b"P2#c\n1 1 255 3", [3]),
+        (b"P2\x0b1\x0c1\r255\t4", [4]),  # every bytes.isspace() byte separates
+        (b"P5 1 1 # c\n255\n\x05", [5]),
+        (b"P2 1 1#\n255 6", [6]),
+        (b"P2 1 1 255 4#", [4]),
+        (b"P5 2 1 255\n# ", [35, 32]),  # raster bytes are pixels, '#' too
+        (b"P5 1 1 255#c\n\x07", "missing raster separator"),
+        (b"P5 1 1 255", "missing raster separator"),
+        (b"P2 1 1 255 # only a comment", "truncated pixel data"),
+    ],
+)
+def test_tokenizer_edge_cases(data, expected):
+    if isinstance(expected, str):
+        with pytest.raises(PgmError, match=expected):
+            read_pgm(data)
+    else:
+        assert list(read_pgm(data).pixels) == expected
+
+
 def test_value_above_maxval_rejected():
     with pytest.raises(PgmError, match="maxval"):
         read_pgm(b"P2 1 1 10\n11")
@@ -68,6 +91,16 @@ def test_written_file_mode_follows_umask(tmp_path, umask, mode):
         os.umask(old)
     for name in ("out.pgm", "out.txt"):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+def test_write_atomic_leaves_the_umask_alone(tmp_path, monkeypatch):
+    def umask(mask):
+        raise AssertionError("the process umask was touched")
+
+    monkeypatch.setattr(os, "umask", umask)
+    write_atomic([(tmp_path / "a.txt", b"a"), (tmp_path / "b.txt", b"b")])
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]  # no temp left
+    assert (tmp_path / "a.txt").read_bytes() == b"a"
 
 
 def test_file_helpers(tmp_path):
