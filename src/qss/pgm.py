@@ -59,7 +59,8 @@ def read_pgm(data: bytes) -> Image:
         if pixels.max() > maxval:
             raise PgmError("pixel value exceeds maxval %d" % maxval)
     else:
-        raster = [m[0] for m in islice(tokens, n)]
+        # a file holds fewer tokens than bytes; islice refuses a stop > maxsize
+        raster = [m[0] for m in islice(tokens, min(n, len(data)))]
         if len(raster) < n:
             raise PgmError("truncated pixel data: expected %d samples" % n)
         try:
