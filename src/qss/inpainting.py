@@ -44,7 +44,7 @@ def _snap(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(out, 2**20, out=out)
 
 
-def _factorize(A: sp.spmatrix):
+def _factorize(A: sp.csc_matrix):
     """Sparse LU of the reduced Laplacian, factorised as the SPD matrix it is.
 
     A is symmetric and, since every unknown component of a connected grid
@@ -57,7 +57,7 @@ def _factorize(A: sp.spmatrix):
     import scipy.sparse.linalg as spla
 
     return spla.splu(
-        A.tocsc(),
+        A,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
@@ -134,7 +134,9 @@ class InpaintSolver:
 
     Factorises the reduced Laplace system once on construction (`_factorize`);
     every solve on this mask, and every bordered solve on a subset of it,
-    reuses that factorisation.
+    reuses that factorisation. A full mask takes the same path: its system
+    is 0 x 0, and its solves map the (0, k) right-hand sides to (0, k). B,
+    the right-hand side's operator, is kept once, by columns.
     """
 
     def __init__(self, mask: Mask, width: int, height: int):
@@ -148,17 +150,14 @@ class InpaintSolver:
         self._unknown = np.flatnonzero(~mask.bool_array())
 
         # the grid Laplacian's rows at the unknowns, through which every check
-        # reads a full-length reconstruction; rhs = B @ known values
+        # reads a full-length reconstruction; A and B (rhs = B @ known values)
+        # are column slices of one CSC copy of them
         self._rows = _grid_laplacian(width, height)[self._unknown]
-        self._B = -self._rows[:, mask.indices]
-        self._lu = _factorize(self._rows[:, self._unknown]) if self._unknown.size else None
+        columns = self._rows.tocsc()
+        self._B = -columns[:, mask.indices]
+        self._lu = _factorize(columns[:, self._unknown])
         # mask pixel -> A^-1 B_e, the unknowns' response to unit data at e
         self._border: dict[int, np.ndarray] = {}
-
-    @functools.cached_property
-    def _B_csc(self) -> sp.csc_matrix:
-        """B by columns, for the border right-hand sides of `solve_bordered`."""
-        return self._B.tocsc()
 
     @property
     def n_unknown(self) -> int:
@@ -193,9 +192,8 @@ class InpaintSolver:
             rows = slice(start, start + _BLOCK_COLUMNS)
             data = block[rows].astype(np.float64, copy=False)
             out[rows, self.mask.indices] = data
-            if self.n_unknown:
-                out[rows, self._unknown] = self._lu.solve(self._B @ data.T).T
-                self._check_residual(self._rows @ out[rows].T)
+            out[rows, self._unknown] = self._lu.solve(self._B @ data.T).T
+            self._check_residual(self._rows @ out[rows].T)
 
         _run_blocks(solve_block, range(0, len(block), _BLOCK_COLUMNS))
         return out.reshape(g.shape[:-1] + out.shape[1:])
@@ -231,9 +229,8 @@ class InpaintSolver:
         _check_finite(u)
         new = [e for e in border.tolist() if e not in self._border]
         if new:
-            b = self._B_csc[:, np.searchsorted(self.mask.indices, new)].toarray()
-            w = self._lu.solve(b) if self.n_unknown else b
-            self._border.update(zip(new, w.T))
+            b = self._B[:, np.searchsorted(self.mask.indices, new)].toarray()
+            self._border.update(zip(new, self._lu.solve(b).T))
         columns = [self._border[e] for e in border.tolist()]
         lap = _grid_laplacian(self.width, self.height)
         rows = lap[border]
@@ -248,9 +245,7 @@ class InpaintSolver:
         for d_e, col in zip(d, columns):  # unstacked: no copy of the kept columns
             x_0 += d_e * col
         x[self._unknown] = x_0
-        unknown = np.concatenate([self._unknown, border])
-        if unknown.size:
-            self._check_residual((lap @ x)[unknown])
+        self._check_residual((lap @ x)[np.concatenate([self._unknown, border])])
         return x
 
     def check(self, known_values: np.ndarray, reconstruction: np.ndarray) -> None:
@@ -271,8 +266,7 @@ class InpaintSolver:
         if not np.array_equal(known, g):
             raise InpaintingError("reconstruction differs from the known data",
                                   float(np.abs(known - g).max()))
-        if self.n_unknown:
-            self._check_residual(self._rows @ u.T)
+        self._check_residual(self._rows @ u.T)
 
     def _check_residual(self, r: np.ndarray) -> None:
         # max |r|, without a copy; 0 for an empty block

@@ -1,6 +1,7 @@
 """PGM (P2/P5) reading and P5 writing, maxval up to 255.
 
-Tokens are separated by whitespace, the bytes of `bytes.isspace`. A '#'
+Tokens are separated by whitespace, the bytes of `bytes.isspace`, and every
+header and P2 raster token is a number in ASCII decimal digits. A '#'
 comment may start wherever a token may, in the header after the magic and
 in a P2 raster, and runs to the end of its line; it also ends a token it
 touches. Exactly one whitespace byte separates a P5 header from its raster,
@@ -38,10 +39,9 @@ def read_pgm(data: bytes) -> Image:
     header = list(islice(tokens, 3))
     if len(header) < 3:
         raise PgmError("malformed header: unexpected end of file")
-    try:
-        width, height, maxval = (int(m[0]) for m in header)
-    except ValueError:
-        raise PgmError("malformed header: non-numeric dimension") from None
+    if not all(m[0].isdigit() for m in header):  # ASCII-only for bytes
+        raise PgmError("malformed header: non-numeric dimension")
+    width, height, maxval = (int(m[0]) for m in header)
     if width <= 0 or height <= 0:
         raise PgmError("malformed header: non-positive dimensions")
     if maxval <= 0 or maxval > 255:
@@ -70,6 +70,10 @@ def read_pgm(data: bytes) -> Image:
         # checked as Python ints: a huge sample must not overflow int64
         if not all(0 <= s <= maxval for s in samples):
             raise PgmError("pixel value outside [0, maxval %d]" % maxval)
+        # after the range, so a negative sample reads as outside it; then
+        # what int() takes beyond ASCII digits ('+7', '-0', '1_0') fails
+        if not b"".join(raster).isdigit():
+            raise PgmError("malformed pixel data: non-numeric sample")
         pixels = np.array(samples, dtype=np.int64)
     return Image(width, height, pixels)
 

@@ -316,14 +316,18 @@ def write_quant_path_file(path: QuantisationPath) -> str:
 
 
 def read_quant_path_file(text: str) -> QuantisationPath:
+    """Read `QSSQPATH v1`, the initial values on one line, then one merge step
+    `low high merged` per line, every value in ASCII decimal digits."""
     lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != QPATH_MAGIC:
+    if not lines or lines[0] != QPATH_MAGIC:
         raise ValueError("not a %s file" % QPATH_MAGIC)
+    rows = [line.split() for line in lines[1:]]
+    digits = "".join(map("".join, rows))
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("malformed quantisation path file")
     try:
-        initial = tuple(int(t) for t in lines[1].split())
-        steps = tuple(
-            MergeStep(*(int(t) for t in line.split())) for line in lines[2:]
-        )
+        initial = tuple(map(int, rows[0]))
+        steps = tuple(MergeStep(*map(int, row)) for row in rows[1:])
     except (IndexError, ValueError, TypeError):
         raise ValueError("malformed quantisation path file") from None
     return QuantisationPath(initial, steps)

@@ -129,12 +129,22 @@ def write_path_file(path: SparsificationPath) -> str:
 
 
 def read_path_file(text: str) -> SparsificationPath:
+    """Read `QSSPATH v1 N=<n>`, n >= 1, then a permutation of range(n), one
+    index per line, every number in ASCII decimal digits."""
     lines = text.strip().splitlines()
-    if not lines or not lines[0].startswith(PATH_MAGIC):
+    magic, _, size = (lines or [""])[0].partition(" N=")
+    if magic != PATH_MAGIC:
         raise ValueError("not a %s file" % PATH_MAGIC)
+    indices = lines[1:]
     try:
-        n = int(lines[0].split("N=")[1])
-        order = np.array([int(line) for line in lines[1:]], dtype=np.int64)
-    except (IndexError, ValueError, OverflowError):
+        n = int(size)
+        order = np.fromiter(map(int, indices), np.int64, len(indices))
+    except (ValueError, OverflowError):
         raise ValueError("malformed sparsification path file") from None
-    return SparsificationPath(order, n)
+    path = SparsificationPath(order, n)  # a negative index fails here, outside the image
+    # then, in one pass, what int() takes beyond ASCII digits ('+0', ' 1', '٣');
+    # bytes.isdigit is ASCII-only, and faster than str.isdigit
+    digits = size + "".join(indices)
+    if n < 1 or not (digits.isascii() and digits.encode().isdigit()):
+        raise ValueError("malformed sparsification path file")
+    return path

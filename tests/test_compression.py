@@ -285,8 +285,8 @@ def test_sparsification_factorises_each_mask_once(synthetic_grid, monkeypatch, t
 
     monkeypatch.setattr(inpainting, "_factorize", counting)
     points = evaluate_grid(img, spath, "sparsification", l_grid, budget)
-    # one factorisation per mask with unknown pixels; its size is l
-    assert sorted(sizes) == [l for l in l_grid if l > 0]
+    # one factorisation per mask, of size l: the full mask's is 0 x 0
+    assert sorted(sizes) == sorted(l_grid)
     first = {}
     for p in points:
         if not math.isnan(p.mse):

@@ -170,6 +170,23 @@ def test_check_accepts_the_empty_block_solve_returns():
     solver.check(empty, u)
 
 
+def test_full_mask_factorises_its_empty_system(monkeypatch):
+    shapes = []
+    factorize = inpainting._factorize
+
+    def recording(A):
+        shapes.append(A.shape)
+        return factorize(A)
+
+    monkeypatch.setattr(inpainting, "_factorize", recording)
+    solver = InpaintSolver(Mask.full(9), 3, 3)
+    assert shapes == [(0, 0)]
+    known = np.random.default_rng(2).normal(size=(9, 9))
+    assert np.array_equal(solver.solve(known[0]), known[0])
+    assert np.array_equal(solver.solve(known), known)
+    solver.check(known, solver.solve(known))
+
+
 def laplacian(u, width, height):
     """Degree-adjusted 5-point Laplacian (reflecting boundaries) of a grid."""
     grid = u.reshape(height, width)

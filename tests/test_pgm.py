@@ -48,6 +48,11 @@ def test_comment_inside_p5_header():
         (b"P5 1 1 255", "missing raster separator"),
         (b"P2 1 1 255 # only a comment", "truncated pixel data"),
         (b"P2 10000000000 10000000000 255 0", "truncated"),  # more samples than sys.maxsize
+        # int() reads these; a PGM number is ASCII decimal digits only
+        (b"P2 1 1 2_5_5 1_0", "non-numeric dimension"),
+        (b"P2 +1 1 255 +7", "non-numeric dimension"),
+        (b"P2 1 1 255 -0", "non-numeric sample"),
+        (b"P5 1 1 +255\n\x07", "non-numeric dimension"),
     ],
 )
 def test_parse_errors(data, match):

@@ -461,4 +461,14 @@ def test_quant_path_file_errors():
         read_quant_path_file("nope\n")
     with pytest.raises(ValueError):
         read_quant_path_file("QSSQPATH v1\n0 ten\n")
+    # the header as the writer emits it, and every number in ASCII digits
+    for text, match in [
+        ("QSSQPATH v1\n-1 2 3\n-1 2 2\n", "malformed"),
+        ("QSSQPATH v1\n\u0661 2 3\n", "malformed"),
+        ("QSSQPATH v1\n+1 2 3\n", "malformed"),
+        ("QSSQPATH v1x\n1 2 3\n", "not a"),
+        ("QSSQPATH v1 \n1 2 3\n", "not a"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            read_quant_path_file(text)
 

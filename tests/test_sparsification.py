@@ -109,6 +109,20 @@ def test_path_file_errors():
         read_path_file("not a path file\n1\n2\n")
     with pytest.raises(ValueError):
         read_path_file("QSSPATH v1 N=4\n0\n1\n2\n")  # missing index
+    # the header as the writer emits it, and every number in ASCII digits
+    for text, match in [
+        ("QSSPATH v1xyz N=+3\n0\n1\n2\n", "not a"),
+        ("QSSPATH v1 N=+3\n0\n1\n2\n", "malformed"),
+        ("QSSPATH v1 N=3\n+0\n1\n2\n", "malformed"),
+        ("QSSPATH v1 N=3\n0\n 1\n2\n", "malformed"),
+        ("QSSPATH v1 N=3\n-0\n1\n2\n", "malformed"),
+        ("QSSPATH v1 N=3\n0\n0_1\n2\n", "malformed"),
+        ("QSSPATH v1 N=\u0663\n\u0660\n1\n\uff12\n", "malformed"),  # [0, 1, 2]
+        ("QSSPATH v1 N=0", "malformed"),
+        ("QSSPATH v1 N=0\n", "malformed"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            read_path_file(text)
 
 
 def test_bad_permutation_rejected():
