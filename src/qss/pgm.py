@@ -39,9 +39,13 @@ def read_pgm(data: bytes) -> Image:
     header = list(islice(tokens, 3))
     if len(header) < 3:
         raise PgmError("malformed header: unexpected end of file")
-    if not all(m[0].isdigit() for m in header):  # ASCII-only for bytes
-        raise PgmError("malformed header: non-numeric dimension")
-    width, height, maxval = (int(m[0]) for m in header)
+    try:
+        if not all(m[0].isdigit() for m in header):  # ASCII-only for bytes
+            raise ValueError
+        # int() also refuses more digits than sys.get_int_max_str_digits()
+        width, height, maxval = (int(m[0]) for m in header)
+    except ValueError:
+        raise PgmError("malformed header: non-numeric dimension") from None
     if width <= 0 or height <= 0:
         raise PgmError("malformed header: non-positive dimensions")
     if maxval <= 0 or maxval > 255:

@@ -142,9 +142,8 @@ def read_path_file(text: str) -> SparsificationPath:
     except (ValueError, OverflowError):
         raise ValueError("malformed sparsification path file") from None
     path = SparsificationPath(order, n)  # a negative index fails here, outside the image
-    # then, in one pass, what int() takes beyond ASCII digits ('+0', ' 1', '٣');
-    # bytes.isdigit is ASCII-only, and faster than str.isdigit
+    # then, in one pass, what int() takes beyond ASCII digits ('+0', ' 1', '٣')
     digits = size + "".join(indices)
-    if n < 1 or not (digits.isascii() and digits.encode().isdigit()):
+    if n < 1 or not (digits.isascii() and digits.isdigit()):
         raise ValueError("malformed sparsification path file")
     return path

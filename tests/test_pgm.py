@@ -53,6 +53,11 @@ def test_comment_inside_p5_header():
         (b"P2 +1 1 255 +7", "non-numeric dimension"),
         (b"P2 1 1 255 -0", "non-numeric sample"),
         (b"P5 1 1 +255\n\x07", "non-numeric dimension"),
+        # more digits than int() converts
+        pytest.param(
+            b"P5 " + b"1" * 5000 + b" 1 255\n\x00", "non-numeric dimension", id="long-width"
+        ),
+        pytest.param(b"P2 1 1 255 " + b"1" * 5000, "non-numeric sample", id="long-sample"),
     ],
 )
 def test_parse_errors(data, match):

@@ -468,6 +468,7 @@ def test_quant_path_file_errors():
         ("QSSQPATH v1\n+1 2 3\n", "malformed"),
         ("QSSQPATH v1x\n1 2 3\n", "not a"),
         ("QSSQPATH v1 \n1 2 3\n", "not a"),
+        ("QSSQPATH v1\n" + "1" * 5000 + "\n", "malformed"),  # more digits than int() converts
     ]:
         with pytest.raises(ValueError, match=match):
             read_quant_path_file(text)

@@ -120,6 +120,7 @@ def test_path_file_errors():
         ("QSSPATH v1 N=\u0663\n\u0660\n1\n\uff12\n", "malformed"),  # [0, 1, 2]
         ("QSSPATH v1 N=0", "malformed"),
         ("QSSPATH v1 N=0\n", "malformed"),
+        ("QSSPATH v1 N=" + "1" * 5000 + "\n0\n", "malformed"),  # more digits than int() converts
     ]:
         with pytest.raises(ValueError, match=match):
             read_path_file(text)
