@@ -9,6 +9,7 @@ they are identical for all quantisation methods.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -105,55 +106,78 @@ def build_quant_path(image: Image, mask: Mask | None, method: str) -> Quantisati
 def evaluate_grid(
     image: Image,
     spars_path: SparsificationPath,
-    method: str,
+    methods,
     l_grid,
     budget: float = math.inf,
     on_reconstruction=None,
 ):
-    """All rate-distortion points of one method over the (l, m) grid.
+    """All rate-distortion points of each method over the (l, m) grid, as
+    `{method: points}`; a method named twice is evaluated once, and an
+    unknown method raises ValueError.
 
     Every quantisation scale m = 0 ... len(path) is evaluated at each l.
     Points over the bit budget are returned with mse = NaN (their
-    reconstruction is never computed). Committed paths are rebuilt per l
-    since the known values change with the mask. Reconstructions are not
-    kept: `on_reconstruction(point, grey)`, if given, sees each one as it
-    is scored, its grey values (`round_to_grey`) as a length-N int64 array
-    that is only valid during the call.
+    reconstruction is never computed). Reconstructions are not kept:
+    `on_reconstruction(point, grey)`, if given, sees each one as it is
+    scored, its grey values (`round_to_grey`) as a length-N int64 array
+    that is only valid during the call. Within each l the points arrive
+    method by method, each method's in ascending m.
 
     Inpainting is linear in the known data, so no point needs a solve of
-    its own, and each l is one walk of the path, m = 0 ... len(path): the
-    known values at m are those at m - 1 after one merge step. Each m adds
-    its cost point. At the first affordable m (m = 0 without a budget),
-    one factorisation of the mask and one block solve give the harmonic
-    basis psi_c of every cluster c of its known values, and that
-    reconstruction is sum_c c psi_c. From there each merge step
+    its own. Each mask is evaluated once for all methods: its known
+    values and their histogram are read once, it is factorised once, and
+    the harmonic basis psi_c of every cluster c of its known values at
+    m = 0 is found by one block solve on first use. Each method builds its
+    path from that state (the sparsification method from the basis of
+    m = 0), and each l is one walk of each path, m = 0 ... len(path): the
+    known values at m are those at m - 1 after one merge step, and each m
+    adds its cost point. At the first affordable m (m = 0 without a
+    budget) the reconstruction is sum_c c psi_c, from the shared basis of
+    m = 0 or, for m > 0, from a block solve of that scale's clusters
+    through the same factorisation. From there each merge step
     (a, b -> r) adds (r - a) psi_a + (r - b) psi_b and sets
-    psi_r = psi_a + psi_b. The sparsification method builds its path from
-    the basis of m = 0 and solves any later clusters through the same
-    factorisation, so its mask too is factorised once. Affordable
-    reconstructions are scored `_BLOCK_COLUMNS` at a time: each block
-    passes `InpaintSolver.check`, as a solve does, then is rounded to grey
-    values and scored in place (`_score`); no `Image` is built per point.
+    psi_r = psi_a + psi_b. Affordable reconstructions are scored
+    `_BLOCK_COLUMNS` at a time: each block passes `InpaintSolver.check`,
+    as a solve does, then is rounded to grey values and scored in place
+    (`_score`); no `Image` is built per point.
     """
-    points = []
-    for l in l_grid:
-        mask = spars_path.mask_at(l)
-        points.extend(_evaluate_mask(image, mask, l, method, budget, on_reconstruction))
+    points = {method: [] for method in methods}
+    for l in l_grid if points else ():  # no method, no mask to evaluate
+        _evaluate_mask(image, spars_path.mask_at(l), l, points, budget, on_reconstruction)
     return points
 
 
-def _evaluate_mask(image, mask, l, method, budget, on_reconstruction):
-    """The points of `evaluate_grid` at mask scale l, in ascending m."""
-    solver = basis = superposed = None
-    if method == "sparsification":
-        path, solver, basis = _spars_quant_path(image, mask)
-    else:
-        path = build_quant_path(image, mask, method)
-    levels = len(path.initial_values)
-    points, block = [], []
-    data = np.empty((_BLOCK_COLUMNS, len(mask)))
-    recs = np.empty((_BLOCK_COLUMNS, image.size))
+def _evaluate_mask(image, mask, l, points, budget, on_reconstruction):
+    """Append each method's points at mask scale l to `points[method]`.
+
+    The state of the mask is local, so it is freed before the next mask
+    is factorised. The basis of m = 0 is walked in place by the last
+    method and copied for the others.
+    """
     known = _domain(image, mask)
+    part = _histogram(known)
+    solver = InpaintSolver(mask, image.width, image.height)
+    shared = functools.cache(lambda: _level_basis(solver, known, part.values))
+    last = list(points)[-1]
+    for method, method_points in points.items():
+        if method == "sparsification":
+            path = _spars_quant_path(image, part, solver, shared())
+        elif method == "ward":
+            path = ward_path(part)
+        else:  # uniform; an unknown method raises
+            path = build_quant_path(image, mask, method)
+        zero_basis = shared if method == last else lambda: shared().copy()
+        method_points += _walk_path(image, l, known, solver, path, method, zero_basis,
+                                    budget, on_reconstruction)
+
+
+def _walk_path(image, l, known, solver, path, method, zero_basis, budget, on_reconstruction):
+    """The points of one method at mask scale l, in ascending m, from one
+    walk of its path; `zero_basis()` gives a basis of m = 0 to consume."""
+    levels = len(path.initial_values)
+    superposed, points, block = None, [], []
+    data = np.empty((_BLOCK_COLUMNS, len(known)))
+    recs = np.empty((_BLOCK_COLUMNS, image.size))
     for m, g in enumerate(_quantised_known_values(known, path, image.grey_depth)):
         cost = coding_cost(g, levels - m, method)
         ratio = 8.0 * image.size / cost.total_bits
@@ -163,10 +187,7 @@ def _evaluate_mask(image, mask, l, method, budget, on_reconstruction):
             if not affordable:
                 continue
             clusters = np.unique(g)
-            if m > 0 or basis is None:  # the spars basis is that of m = 0
-                if solver is None:
-                    solver = InpaintSolver(mask, image.width, image.height)
-                basis = _level_basis(solver, g, clusters)
+            basis = _level_basis(solver, g, clusters) if m else zero_basis()
             superposed = _superpositions(clusters, basis, path.steps[m:])
         rec = next(superposed)
         if affordable:  # block holds the scale m of each row of data and recs
@@ -246,7 +267,7 @@ def rd_optimize(
         if best is None or point.mse <= best.mse:
             best, best_rec = point, image.with_pixels(grey.copy())
 
-    points = evaluate_grid(image, spars_path, method, l_grid, budget, keep_best)
+    points = evaluate_grid(image, spars_path, (method,), l_grid, budget, keep_best)[method]
     if best is None:
         raise InfeasibleBudgetError(min(p.total_bits for p in points))
     return best, best_rec
@@ -278,14 +299,10 @@ def rd_curve(
     methods=METHODS,
     l_grid=None,
 ):
-    """Per-method rate-distortion points and their envelopes."""
+    """Per-method rate-distortion points and their envelopes, from one
+    `evaluate_grid` call, so each mask is factorised and its basis of
+    m = 0 solved once for all `methods`."""
     if l_grid is None:
         l_grid = default_l_grid(image.size)
-    curves = {}
-    for method in methods:
-        points = evaluate_grid(image, spars_path, method, l_grid)
-        curves[method] = {
-            "points": points,
-            "envelope": rate_distortion_envelope(points),
-        }
-    return curves
+    grid = evaluate_grid(image, spars_path, methods, l_grid)
+    return {m: {"points": p, "envelope": rate_distortion_envelope(p)} for m, p in grid.items()}

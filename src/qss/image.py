@@ -30,7 +30,10 @@ class Image:
             raise ValueError("image dimensions must be positive")
         if self.grey_depth <= 0:
             raise ValueError("grey depth must be positive")
-        px = np.ascontiguousarray(np.asarray(self.pixels, dtype=np.int64).ravel())
+        px = np.asarray(self.pixels)
+        if px.size and px.dtype.kind not in "iu":  # floats would truncate, bools read as 0/1
+            raise ValueError("pixel values must be integers, not %s" % px.dtype)
+        px = np.ascontiguousarray(np.asarray(px, dtype=np.int64).ravel())
         if px.size != self.width * self.height:
             raise ValueError(
                 "pixel count %d does not match %dx%d"

@@ -263,34 +263,36 @@ def sparsification_quant_path(image: Image, mask: Mask | None) -> QuantisationPa
     whose Gram is dense, and only the kept cluster's O(levels) for a full
     mask, whose Gram is the diagonal of the counts (see `_greedy_merge`).
     With a full mask this reduces to Ward clustering, step for step.
-    `evaluate_grid` builds the same path (`_spars_quant_path`) and
-    reconstructs every scale through the same factorisation, so each mask
-    it evaluates is factorised once. A `None` mask raises DomainError.
-    """
-    return _spars_quant_path(image, mask)[0]
-
-
-def _spars_quant_path(image: Image, mask: Mask | None):
-    """(path, solver, psi): the path of `sparsification_quant_path`, the
-    mask's `InpaintSolver` and the level basis psi of the known data's
-    occurring values (see `_level_basis`), from which the path is built.
-
-    A mask with unknowns passes the dense Gram psi psi^T to `_greedy_merge`.
-    A full mask passes the counts instead: its basis functions are the
-    level-set indicators, whose Gram is the diagonal of the counts, so the
-    merge loop takes its diagonal update and psi psi^T is never formed.
+    `evaluate_grid` builds the same path (`_spars_quant_path`) from the
+    histogram, solver and basis of m = 0 that it shares with every method
+    it evaluates, and reconstructs every scale through the same
+    factorisation, so each mask is factorised once. A `None` mask raises
+    DomainError.
     """
     if mask is None:
         raise DomainError("the sparsification method needs a mask")
     known = _domain(image, mask)
     part = _histogram(known)
     solver = InpaintSolver(mask, image.width, image.height)
-    psi = _level_basis(solver, known, part.values)
+    return _spars_quant_path(image, part, solver, _level_basis(solver, known, part.values))
+
+
+def _spars_quant_path(image, part, solver, psi) -> QuantisationPath:
+    """The path of `sparsification_quant_path` for a mask whose known data
+    has the histogram `part`, from the mask's `InpaintSolver` and the
+    level basis psi of `part.values` (see `_level_basis`), which is only
+    read.
+
+    A mask with unknowns passes the dense Gram psi psi^T to `_greedy_merge`.
+    A full mask passes the counts instead: its basis functions are the
+    level-set indicators, whose Gram is the diagonal of the counts, so the
+    merge loop takes its diagonal update and psi psi^T is never formed.
+    """
     v = part.values.astype(np.int64)
     res = image.pixels.astype(np.float64) - v @ psi
     gram = psi @ psi.T if solver.n_unknown else part.counts.astype(np.float64)
     steps = _greedy_merge(v, part.counts, psi @ res, gram)
-    return QuantisationPath(tuple(part.values), steps), solver, psi
+    return QuantisationPath(tuple(part.values), steps)
 
 
 def _level_basis(solver: InpaintSolver, known: np.ndarray, values: np.ndarray) -> np.ndarray:

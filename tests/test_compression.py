@@ -116,7 +116,7 @@ class TestRdOptimize:
         budget = 150.0
         l_grid = [0, 16, 48]
         point, _ = rd_optimize(img, spath, "ward", budget, l_grid=l_grid)
-        points = evaluate_grid(img, spath, "ward", l_grid, budget=budget)
+        points = evaluate_grid(img, spath, ("ward",), l_grid, budget=budget)["ward"]
         feasible = [p for p in points if p.total_bits < budget]
         best_mse = min(p.mse for p in feasible)
         assert point.mse == best_mse
@@ -140,15 +140,15 @@ class TestEnvelope:
         points = evaluate_grid(
             Image(4, 4, np.arange(16)),
             probabilistic_sparsify(Image(4, 4, np.arange(16)), seed=0),
-            "uniform",
+            ("uniform",),
             [0],
-        )
+        )["uniform"]
         env = rate_distortion_envelope(points[-1:])
         assert len(env) == 1
 
     def test_envelope_monotone(self, small_setup):
         img, spath = small_setup
-        points = evaluate_grid(img, spath, "uniform", [0, 32, 56])
+        points = evaluate_grid(img, spath, ("uniform",), [0, 32, 56])["uniform"]
         env = rate_distortion_envelope(points)
         mses = [m for _, _, m in env]
         assert all(b >= a for a, b in zip(mses, mses[1:]))
@@ -184,8 +184,8 @@ def test_evaluate_grid_matches_direct_solves(synthetic_grid, method, target):
     img, spath, l_grid = synthetic_grid
     budget = math.inf if target is None else 8.0 * img.size / target
     seen = []
-    points = evaluate_grid(img, spath, method, l_grid, budget,
-                           lambda point, grey: seen.append((point, grey.copy())))
+    points = evaluate_grid(img, spath, (method,), l_grid, budget,
+                           lambda point, grey: seen.append((point, grey.copy())))[method]
     expected, expected_seen = [], []
     for l in l_grid:
         mask = spath.mask_at(l)
@@ -226,8 +226,9 @@ def test_block_scoring_skips_points_inside_a_block(synthetic_grid, monkeypatch, 
 
     monkeypatch.setattr(compression, "coding_cost", skipping)
     seen = {}
-    points = evaluate_grid(img, spath, method, l_grid, math.inf,
+    points = evaluate_grid(img, spath, (method,), l_grid, math.inf,
                            lambda point, grey: seen.setdefault((point.l, point.m), grey.copy()))
+    points = points[method]
     partial = 0
     for l in l_grid:
         mask = spath.mask_at(l)
@@ -284,7 +285,7 @@ def test_sparsification_factorises_each_mask_once(synthetic_grid, monkeypatch, t
         return factorize(A)
 
     monkeypatch.setattr(inpainting, "_factorize", counting)
-    points = evaluate_grid(img, spath, "sparsification", l_grid, budget)
+    points = evaluate_grid(img, spath, ("sparsification",), l_grid, budget)["sparsification"]
     # one factorisation per mask, of size l: the full mask's is 0 x 0
     assert sorted(sizes) == sorted(l_grid)
     first = {}
@@ -309,6 +310,78 @@ def test_one_walk_of_the_path_per_mask(synthetic_grid, monkeypatch, method, targ
         return walk(values, path, grey_depth)
 
     monkeypatch.setattr(compression, "_quantised_known_values", counting)
-    points = evaluate_grid(img, spath, method, l_grid, budget)
+    points = evaluate_grid(img, spath, (method,), l_grid, budget)[method]
     assert walks == [img.size - l for l in l_grid]
     assert any(not math.isnan(p.mse) for p in points)
+
+
+@pytest.mark.parametrize("target", [None, 20])
+def test_methods_share_each_masks_factorisation_and_basis(synthetic_grid, monkeypatch, target):
+    """Over all methods at once, each mask is factorised once and its basis
+    of m = 0 solved once; only a method whose first affordable scale is
+    m > 0 solves a basis of its own."""
+    img, spath, l_grid = synthetic_grid
+    budget = math.inf if target is None else 8.0 * img.size / target
+    sizes, bases = [], []
+    factorize, level_basis = inpainting._factorize, compression._level_basis
+
+    def counting_factorize(A):
+        sizes.append(A.shape[0])
+        return factorize(A)
+
+    def counting_basis(solver, known, values):
+        bases.append(len(solver.mask))
+        return level_basis(solver, known, values)
+
+    monkeypatch.setattr(inpainting, "_factorize", counting_factorize)
+    monkeypatch.setattr(compression, "_level_basis", counting_basis)
+    points = evaluate_grid(img, spath, METHODS, l_grid, budget)
+    assert sorted(sizes) == sorted(l_grid)
+    first = {}
+    for method in METHODS:
+        for p in points[method]:
+            if not math.isnan(p.mse):
+                first.setdefault((method, p.l), p.m)
+    for l in l_grid:
+        later = sum(first[method, l] > 0 for method in METHODS)
+        assert bases.count(img.size - l) == 1 + later
+    assert (len(bases) > len(l_grid)) == (target is not None)
+
+
+@pytest.mark.parametrize("target", [None, 20])
+def test_methods_together_give_the_points_of_each_alone(synthetic_grid, target):
+    """Within each l the reconstructions arrive method by method, each
+    method's as a call with that method alone gives them."""
+    img, spath, l_grid = synthetic_grid
+    budget = math.inf if target is None else 8.0 * img.size / target
+
+    def evaluate(methods):
+        seen = []
+        points = evaluate_grid(img, spath, methods, l_grid, budget,
+                               lambda point, grey: seen.append((point, grey.copy())))
+        return points, seen
+
+    together, seen = evaluate(METHODS)
+    assert list(together) == list(METHODS)
+    alone = {}
+    for method in METHODS:
+        points, alone[method] = evaluate((method,))
+        assert [repr(p) for p in together[method]] == [repr(p) for p in points[method]]
+    expected = [s for l in l_grid for method in METHODS for s in alone[method] if s[0].l == l]
+    assert [repr(p) for p, _ in seen] == [repr(p) for p, _ in expected]
+    assert all(np.array_equal(grey, want) for (_, grey), (_, want) in zip(seen, expected))
+
+
+def test_duplicate_and_unknown_methods(small_setup):
+    img, spath = small_setup
+    l_grid = [0, 32]
+    single = rd_curve(img, spath, methods=("ward",), l_grid=l_grid)
+    twice = rd_curve(img, spath, methods=("ward", "ward"), l_grid=l_grid)
+    assert list(twice) == ["ward"]
+    assert repr(twice) == repr(single)
+    assert rd_curve(img, spath, methods=(), l_grid=l_grid) == {}
+    for methods in [("x",), ("ward", "x")]:
+        with pytest.raises(ValueError, match="^unknown method 'x'$"):
+            rd_curve(img, spath, methods=methods, l_grid=l_grid)
+        with pytest.raises(ValueError, match="^unknown method 'x'$"):
+            evaluate_grid(img, spath, methods, l_grid)

@@ -36,6 +36,14 @@ class TestImage:
         with pytest.raises(ValueError):
             img.pixels[0] = 9
 
+    @pytest.mark.parametrize(
+        "pixels", [[0.7, 1.9], np.array([0.0, 1.0]), np.array([True, False])]
+    )
+    def test_rejects_non_integer_pixels(self, pixels):
+        # floats would truncate, a bool array would read as 0/1
+        with pytest.raises(ValueError, match="pixel values must be integers, not"):
+            Image(2, 1, pixels)
+
 
 class TestMask:
     @pytest.mark.parametrize(

@@ -454,7 +454,7 @@ def test_outputs_do_not_depend_on_the_factorisation(monkeypatch):
     l_grid = [n - math.ceil(d * n) for d in (0.64, 0.32, 0.01)]
 
     def outputs():
-        points = {m: evaluate_grid(img, spath, m, l_grid) for m in METHODS}
+        points = evaluate_grid(img, spath, METHODS, l_grid)
         order = probabilistic_sparsify(img, floor_density=0.01).removal_order
         return points, order
 

@@ -398,7 +398,7 @@ class TestSparsificationQuantPath:
         img = make_synthetic(32)
         ward = ward_path(level_partition(img))
         calls = count_cost_calls(monkeypatch)
-        path, _, _ = quantisation._spars_quant_path(img, Mask.full(img.size))
+        path = sparsification_quant_path(img, Mask.full(img.size))
         assert path == ward
         assert calls == {"_pair_costs": 1, "_costs_with": len(ward)}
 
