@@ -117,7 +117,8 @@ def evaluate_grid(
 
     Every quantisation scale m = 0 ... len(path) is evaluated at each l.
     Points over the bit budget are returned with mse = NaN (their
-    reconstruction is never computed). Reconstructions are not kept:
+    reconstruction is never computed). Paths are rebuilt per l since the
+    known values change with the mask. Reconstructions are not kept:
     `on_reconstruction(point, grey)`, if given, sees each one as it is
     scored, its grey values (`round_to_grey`) as a length-N int64 array
     that is only valid during the call. Within each l the points arrive
