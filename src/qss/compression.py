@@ -113,7 +113,8 @@ def evaluate_grid(
 ):
     """All rate-distortion points of each method over the (l, m) grid, as
     `{method: points}`; a method named twice is evaluated once, and an
-    unknown method raises ValueError.
+    unknown method or a budget that is not positive (NaN included) raises
+    ValueError.
 
     Every quantisation scale m = 0 ... len(path) is evaluated at each l.
     Points over the bit budget are returned with mse = NaN (their
@@ -142,6 +143,8 @@ def evaluate_grid(
     as a solve does, then is rounded to grey values and scored in place
     (`_score`); no `Image` is built per point.
     """
+    if not budget > 0:  # an input error, not an infeasible one
+        raise ValueError("budget must be positive")
     points = {method: [] for method in methods}
     for l in l_grid if points else ():  # no method, no mask to evaluate
         _evaluate_mask(image, spars_path.mask_at(l), l, points, budget, on_reconstruction)
@@ -253,7 +256,8 @@ def rd_optimize(
     """Best (l, m) under the budget; ties go to larger l, then larger m.
 
     Returns the winning point, whose `cost` is its coding cost, and its
-    reconstruction.
+    reconstruction. A budget that is not positive raises ValueError, and
+    one that no point fits raises InfeasibleBudgetError.
     """
     l_grid = sorted(default_l_grid(image.size) if l_grid is None else l_grid)
     if not l_grid:
@@ -266,7 +270,7 @@ def rd_optimize(
         # grid is scanned in ascending (l, m); replacing on equality
         # implements the larger-l, larger-m tie preference
         if best is None or point.mse <= best.mse:
-            best, best_rec = point, image.with_pixels(grey.copy())
+            best, best_rec = point, image.with_pixels(grey)
 
     points = evaluate_grid(image, spars_path, (method,), l_grid, budget, keep_best)[method]
     if best is None:

@@ -16,6 +16,24 @@ class DomainError(ValueError):
     """Empty or mismatched pixel domain."""
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """The one conversion of integer input for `Image`, `Mask`,
+    `LevelPartition` and `SparsificationPath`: a flat, read-only int64
+    copy of `values` that the value type owns. No later write to the
+    caller's array reaches it, and the caller's array stays writeable.
+
+    A non-empty float or bool array raises ValueError naming `what`:
+    floats would truncate, and bools would read as 0/1. An empty array
+    holds no values whatever its dtype (`np.asarray([])` is float64).
+    """
+    flat = np.ravel(values)
+    if flat.size and flat.dtype.kind not in "iu":
+        raise ValueError("%s must be integers, not %s" % (what, flat.dtype))
+    owned = np.array(flat, dtype=np.int64)
+    owned.flags.writeable = False
+    return owned
+
+
 @dataclass(frozen=True)
 class Image:
     """Grey-value image on a w x h grid, values in [0, grey_depth - 1]."""
@@ -30,10 +48,7 @@ class Image:
             raise ValueError("image dimensions must be positive")
         if self.grey_depth <= 0:
             raise ValueError("grey depth must be positive")
-        px = np.asarray(self.pixels)
-        if px.size and px.dtype.kind not in "iu":  # floats would truncate, bools read as 0/1
-            raise ValueError("pixel values must be integers, not %s" % px.dtype)
-        px = np.ascontiguousarray(np.asarray(px, dtype=np.int64).ravel())
+        px = _integers(self.pixels, "pixel values")
         if px.size != self.width * self.height:
             raise ValueError(
                 "pixel count %d does not match %dx%d"
@@ -41,7 +56,6 @@ class Image:
             )
         if px.size and (px.min() < 0 or px.max() > self.grey_depth - 1):
             raise ValueError("pixel values outside [0, %d]" % (self.grey_depth - 1))
-        px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -57,7 +71,7 @@ class Image:
         grid = np.asarray(grid)
         if grid.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls(grid.shape[1], grid.shape[0], grid.ravel(), grey_depth)
+        return cls(grid.shape[1], grid.shape[0], grid, grey_depth)
 
     def with_pixels(self, pixels) -> "Image":
         return Image(self.width, self.height, pixels, self.grey_depth)
@@ -81,15 +95,11 @@ class Mask:
     image_size: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices)
-        if idx.size and idx.dtype.kind not in "iu":  # a bool array is no index set
-            raise ValueError("mask indices must be integers, not %s" % idx.dtype)
-        idx = np.array(idx, dtype=np.int64).ravel()  # a copy the mask owns
+        idx = _integers(self.indices, "mask indices")
         if np.any(idx[1:] <= idx[:-1]):  # sort only what is not strictly increasing
-            idx = np.unique(idx)  # sorted, duplicate-free
+            idx = _integers(np.unique(idx), "mask indices")  # sorted, duplicate-free
         if idx.size and (idx[0] < 0 or idx[-1] >= self.image_size):
             raise ValueError("mask indices outside [0, %d)" % self.image_size)
-        idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
 
     def __len__(self) -> int:
@@ -120,12 +130,10 @@ class LevelPartition:
     counts: np.ndarray  # pixels per value, all positive
 
     def __post_init__(self):
-        for name in ("values", "counts"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.values.ndim != 1 or self.counts.ndim != 1:
+        if np.ndim(self.values) != 1 or np.ndim(self.counts) != 1:
             raise ValueError("values and counts must be 1-D")
+        for name in ("values", "counts"):
+            object.__setattr__(self, name, _integers(getattr(self, name), name))
         if self.values.shape != self.counts.shape:
             raise ValueError("values and counts differ in length")
         if self.values.size:

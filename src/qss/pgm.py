@@ -59,7 +59,7 @@ def read_pgm(data: bytes) -> Image:
         raster = data[pos + 1 : pos + 1 + n]
         if len(raster) < n:
             raise PgmError("truncated pixel data: expected %d bytes" % n)
-        pixels = np.frombuffer(raster, dtype=np.uint8).astype(np.int64)
+        pixels = np.frombuffer(raster, dtype=np.uint8)
         if pixels.max() > maxval:
             raise PgmError("pixel value exceeds maxval %d" % maxval)
     else:
@@ -68,18 +68,17 @@ def read_pgm(data: bytes) -> Image:
         if len(raster) < n:
             raise PgmError("truncated pixel data: expected %d samples" % n)
         try:
-            samples = [int(t) for t in raster]
+            pixels = [int(t) for t in raster]
         except ValueError:
             raise PgmError("malformed pixel data: non-numeric sample") from None
         # checked as Python ints: a huge sample must not overflow int64
-        if not all(0 <= s <= maxval for s in samples):
+        if not all(0 <= s <= maxval for s in pixels):
             raise PgmError("pixel value outside [0, maxval %d]" % maxval)
         # after the range, so a negative sample reads as outside it; then
         # what int() takes beyond ASCII digits ('+7', '-0', '1_0') fails
         if not b"".join(raster).isdigit():
             raise PgmError("malformed pixel data: non-numeric sample")
-        pixels = np.array(samples, dtype=np.int64)
-    return Image(width, height, pixels)
+    return Image(width, height, pixels)  # which takes its own int64 copy
 
 
 def write_pgm(image: Image) -> bytes:

@@ -23,6 +23,14 @@ class PathError(ValueError):
     """Structurally invalid quantisation path."""
 
 
+def _is_integer(value) -> bool:
+    """A Python int or a numpy integer. A bool, whose type is a subclass of
+    int, is no grey value, and a float would truncate in the int64 lookup
+    table of `_value_map`. Checked per merge step, so the common Python
+    int takes one type comparison."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 @dataclass(frozen=True)
 class MergeStep:
     """Merge active values source_low < source_high into merged_value."""
@@ -32,6 +40,9 @@ class MergeStep:
     merged_value: int
 
     def __post_init__(self):
+        if not (_is_integer(self.source_low) and _is_integer(self.source_high)
+                and _is_integer(self.merged_value)):
+            raise PathError("merge step values must be integers")
         if self.source_low >= self.source_high:
             raise PathError("merge step needs source_low < source_high")
 
@@ -42,7 +53,10 @@ class QuantisationPath:
     steps: tuple
 
     def __post_init__(self):
-        values = tuple(int(v) for v in self.initial_values)
+        values = tuple(self.initial_values)
+        if not all(map(_is_integer, values)):
+            raise PathError("initial values must be integers")
+        values = tuple(map(int, values))
         if len(values) == 0:
             raise PathError("empty initial value set")
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -288,7 +302,7 @@ def _spars_quant_path(image, part, solver, psi) -> QuantisationPath:
     level-set indicators, whose Gram is the diagonal of the counts, so the
     merge loop takes its diagonal update and psi psi^T is never formed.
     """
-    v = part.values.astype(np.int64)
+    v = part.values
     res = image.pixels.astype(np.float64) - v @ psi
     gram = psi @ psi.T if solver.n_unknown else part.counts.astype(np.float64)
     steps = _greedy_merge(v, part.counts, psi @ res, gram)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import Image, Mask, _domain
+from .image import Image, Mask, _domain, _integers
 from .inpainting import InpaintSolver, _snap, inpaint
 
 # Border columns one kept factorisation serves before it is replaced by a
@@ -30,14 +30,13 @@ class SparsificationPath:
     image_size: int
 
     def __post_init__(self):
-        order = np.asarray(self.removal_order, dtype=np.int64).ravel()
+        order = _integers(self.removal_order, "removal order")
         # compare sizes first: a huge image_size from a file header must not
         # allocate np.arange(image_size)
         if order.size != self.image_size or not np.array_equal(
             np.sort(order), np.arange(self.image_size)
         ):
             raise ValueError("removal order is not a permutation of all pixels")
-        order.flags.writeable = False
         object.__setattr__(self, "removal_order", order)
 
     def mask_at(self, scale: int) -> Mask:
@@ -116,7 +115,7 @@ def probabilistic_sparsify(
             order.extend(int(i) for i in removed)
             known = np.setdiff1d(known, removed, assume_unique=True)
     order.extend(int(i) for i in known)  # ascending: setdiff1d returns sorted
-    return SparsificationPath(np.array(order), n)
+    return SparsificationPath(order, n)
 
 
 PATH_MAGIC = "QSSPATH v1"

@@ -105,6 +105,18 @@ class TestRdOptimize:
             rd_optimize(img, spath, "ward", budget=7.9, l_grid=[0])
         assert err.value.minimal_bits > 0
 
+    @pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0])
+    def test_non_positive_budget_is_an_input_error(self, small_setup, budget):
+        # a plain ValueError (exit 2 in the CLI), not an infeasible budget (exit 4)
+        img, spath = small_setup
+        for call in (
+            lambda: rd_optimize(img, spath, "ward", budget, l_grid=[0]),
+            lambda: evaluate_grid(img, spath, METHODS, [0], budget),
+        ):
+            with pytest.raises(ValueError, match="budget must be positive") as err:
+                call()
+            assert not isinstance(err.value, InfeasibleBudgetError)
+
     def test_winner_respects_budget(self, small_setup):
         img, spath = small_setup
         budget = 120.0

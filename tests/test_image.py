@@ -44,6 +44,17 @@ class TestImage:
         with pytest.raises(ValueError, match="pixel values must be integers, not"):
             Image(2, 1, pixels)
 
+    def test_owns_a_copy_of_the_callers_pixels(self):
+        pixels = np.array([1, 2, 3], dtype=np.uint8)
+        img = Image(3, 1, pixels)
+        grid = np.array([[1, 2], [3, 4]])
+        from_grid = Image.from_grid(grid)
+        pixels[0] = 99
+        grid[0, 0] = 99
+        assert img.pixels.tolist() == [1, 2, 3] and img.pixels.dtype == np.int64
+        assert from_grid.pixels.tolist() == [1, 2, 3, 4]
+        assert pixels.flags.writeable and grid.flags.writeable
+
 
 class TestMask:
     @pytest.mark.parametrize(
@@ -113,6 +124,25 @@ class TestLevelPartition:
     def test_empty_partition_allowed(self):
         part = LevelPartition(np.array([]), np.array([]))
         assert part.values.size == 0 and part.domain_size == 0
+
+    @pytest.mark.parametrize("field", ["values", "counts"])
+    @pytest.mark.parametrize(
+        "bad", [[1.5, 2.5], np.array([1.0, 2.0]), np.array([True, True])]
+    )
+    def test_rejects_non_integer_values_and_counts(self, field, bad):
+        # floats would truncate, a bool array would read as 0/1
+        arrays = {"values": [1, 2], "counts": [1, 1], field: bad}
+        with pytest.raises(ValueError, match="%s must be integers, not" % field):
+            LevelPartition(**arrays)
+
+    def test_owns_copies_and_leaves_callers_arrays_writeable(self):
+        values, counts = np.array([1, 2]), np.array([3, 4])
+        part = LevelPartition(values, counts)
+        assert values.flags.writeable and counts.flags.writeable
+        values[0], counts[0] = 0, 9
+        assert part.values.tolist() == [1, 2] and part.counts.tolist() == [3, 4]
+        with pytest.raises(ValueError):
+            part.values[0] = 0
 
     def test_empty_mask_rejected(self):
         with pytest.raises(DomainError, match="empty domain"):

@@ -78,6 +78,25 @@ class TestPathValidation:
         with pytest.raises(PathError, match="collides"):
             QuantisationPath((0, 10, 20), (MergeStep(0, 10, 20),))
 
+    @pytest.mark.parametrize(
+        "values", [(1.0, 2.0, 1.5), (1, 2, 1.5), (0, True, 1), (np.float64(1), 2, 1)]
+    )
+    def test_merge_step_values_must_be_integers(self, values):
+        # a float would be written into the int64 lookup table truncated
+        with pytest.raises(PathError, match="integers"):
+            MergeStep(*values)
+
+    @pytest.mark.parametrize("initial", [(0.9, 2.7), (False, True), (1, np.float64(2))])
+    def test_initial_values_must_be_integers(self, initial):
+        with pytest.raises(PathError, match="integers"):
+            QuantisationPath(initial, ())
+
+    def test_numpy_integers_accepted(self):
+        step = MergeStep(np.int64(1), np.int32(2), np.uint8(1))
+        path = QuantisationPath((np.int64(1), np.int16(2)), (step,))
+        assert path == QuantisationPath((1, 2), (MergeStep(1, 2, 1),))
+        assert all(type(v) is int for v in path.initial_values)
+
     def test_full_path_length(self):
         part = partition_of([0, 5, 9], [1, 2, 3])
         assert len(ward_path(part)) == 2

@@ -131,6 +131,26 @@ def test_bad_permutation_rejected():
         SparsificationPath(np.array([0, 0, 1, 2]), 4)
 
 
+@pytest.mark.parametrize(
+    "order", [[0.0, 2.0, 1.0], np.array([2.5, 0.5, 1.5]), np.array([True, False])]
+)
+def test_rejects_non_integer_order(order):
+    # floats would truncate, a bool array would read as 0/1: each of these
+    # would otherwise pass as a permutation
+    with pytest.raises(ValueError, match="removal order must be integers, not"):
+        SparsificationPath(order, len(order))
+
+
+def test_owns_a_copy_of_the_callers_order():
+    order = np.array([2, 0, 1])
+    path = SparsificationPath(order, 3)
+    order[:] = 0
+    assert order.flags.writeable
+    assert path.removal_order.tolist() == [2, 0, 1]
+    with pytest.raises(ValueError):
+        path.removal_order[0] = 1
+
+
 @pytest.mark.parametrize("order", [[-1, 0, 1], [0, 1, 3], [2, 1, -3]])
 def test_indices_outside_image_rejected(order):
     with pytest.raises(ValueError, match="permutation"):
