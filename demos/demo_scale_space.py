@@ -9,12 +9,9 @@ import numpy as np
 
 from qss import (
     Image,
-    entropy,
     generate,
     level_partition,
-    total_contrast,
-    verify_lyapunov_entropy,
-    verify_maxmin,
+    verify_scale_space,
     verify_semigroup,
     ward_path,
 )
@@ -35,18 +32,17 @@ def main():
     print("image: %dx%d, %d occurring grey levels, %d merge steps"
           % (img.width, img.height, len(path.initial_values), len(path)))
 
-    # generate yields one image at a time; nothing holds the whole family
+    # generate yields one image at a time; nothing holds the whole family.
+    # One pass judges every scale and keeps its statistics per step.
+    report, contrast, bounds = verify_scale_space(generate(img, None, path))
     print("\n  step  levels  entropy  contrast")
     stride = max(1, (len(path) + 1) // 12)
-    for m, f in enumerate(generate(img, None, path)):
+    for m in range(len(path) + 1):
         if m % stride == 0 or m == len(path):
-            part = level_partition(f)
-            print("  %4d  %6d  %7.4f  %8d"
-                  % (m, part.values.size, entropy(part), total_contrast(f)))
+            print("  %4d  %6d  %7.4f  %8d" % (m, report.active_levels[m],
+                                              report.entropies[m], contrast.values[m]))
 
-    report = verify_lyapunov_entropy(generate(img, None, path))
     print("\nentropy is a Lyapunov sequence: %s" % report.passed)
-    bounds = verify_maxmin(generate(img, None, path))
     print("max-min bounds hold at every step: %s" % bounds.passed)
 
     # applying m steps then n more equals applying m+n at once

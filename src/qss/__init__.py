@@ -28,13 +28,7 @@ from .quantisation import (
     uniform_path,
     ward_path,
 )
-from .scale_space import (
-    generate,
-    verify_contrast_lyapunov,
-    verify_lyapunov_entropy,
-    verify_maxmin,
-    verify_semigroup,
-)
+from .scale_space import generate, verify_scale_space, verify_semigroup
 from .compression import (
     CostModel,
     InfeasibleBudgetError,

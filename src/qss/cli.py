@@ -174,6 +174,14 @@ def cmd_compress(args) -> int:
     return 0
 
 
+def _add_sparsification_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p", type=float, default=0.02,
+                   help="fraction of the mask drawn as candidates per round")
+    p.add_argument("--q", type=float, default=0.02,
+                   help="fraction of the candidates re-added per round")
+    p.add_argument("--seed", type=int, default=0, help="random seed of the sparsification")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qss", description="quantisation scale-space toolbox"
@@ -183,9 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sparsify", help="build a spatial sparsification path")
     p.add_argument("input")
     p.add_argument("--density", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=0.02, help="candidate fraction")
-    p.add_argument("--q", type=float, default=0.02, help="re-added fraction")
-    p.add_argument("--seed", type=int, default=0)
+    _add_sparsification_options(p)
     p.add_argument("--out", required=True)
     p.add_argument("--preview", help="write the target-density mask as PGM")
     p.set_defaults(func=cmd_sparsify)
@@ -210,9 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=_METHODS, required=True)
     p.add_argument("--budget", type=float, help="bit budget")
     p.add_argument("--ratio", type=float, help="target compression ratio")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=float, default=0.02)
-    p.add_argument("--q", type=float, default=0.02)
+    _add_sparsification_options(p)
     p.add_argument("--out", required=True, help="manifest output file")
     p.add_argument("--out-image", help="reconstruction PGM (default: manifest.pgm)")
     p.set_defaults(func=cmd_compress)

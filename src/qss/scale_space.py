@@ -2,12 +2,12 @@
 
 `generate` yields the images one at a time. Every property checked is read
 from four statistics of a scale's histogram: the level count, the lowest
-and highest value, and the entropy. The verifiers partition each image of a
-sequence once, in a single pass; `report_csv` carries per-value sums along
-the path over one histogram of the domain, building neither an image nor a
-histogram per scale. Both feed `_check`, so one set of rules judges them.
-Verifiers return structured per-step reports rather than booleans so the
-same numbers can be dumped as CSV.
+and highest value, and the entropy. `verify_scale_space` partitions each
+image of a sequence once, in a single pass; `report_csv` carries per-value
+sums along the path over one histogram of the domain, building neither an
+image nor a histogram per scale. Both feed `_check`, so one set of rules
+judges them. The checks return structured per-step reports rather than
+booleans so the same numbers can be dumped as CSV.
 """
 
 from __future__ import annotations
@@ -95,19 +95,18 @@ def _check(stats):
     return lyap, contrast, bounds
 
 
-def verify_lyapunov_entropy(sequence, mask: Mask | None = None) -> LyapunovReport:
-    """Check that entropy never increases and strictly drops on real merges."""
-    return _check(_stats(level_partition(img, mask)) for img in sequence)[0]
+def verify_scale_space(
+    sequence, mask: Mask | None = None
+) -> tuple[LyapunovReport, BoundReport, BoundReport]:
+    """Judge entropy, total contrast and max-min of a sequence in one pass.
 
-
-def verify_contrast_lyapunov(sequence, mask: Mask | None = None) -> BoundReport:
-    """Total contrast is non-increasing along the sequence."""
-    return _check(_stats(level_partition(img, mask)) for img in sequence)[1]
-
-
-def verify_maxmin(sequence, mask: Mask | None = None) -> BoundReport:
-    """All scales stay within [min f^0, max f^0]."""
-    return _check(_stats(level_partition(img, mask)) for img in sequence)[2]
+    Each image is partitioned once, so `sequence` may be a generator such
+    as `generate(...)`. Returns the triple (entropy `LyapunovReport`,
+    contrast `BoundReport`, max-min `BoundReport`): entropy never increases
+    and strictly drops on real merges, total contrast never increases, and
+    every scale stays within [min f^0, max f^0].
+    """
+    return _check(_stats(level_partition(img, mask)) for img in sequence)
 
 
 def verify_semigroup(
@@ -161,9 +160,10 @@ def report_csv(image: Image, mask: Mask | None, path: QuantisationPath):
     and sum of original values along the path, O(1) per step plus the
     entropy of the steps that change the histogram. The MSE against f^0 is
     the exact integer squared error over the domain size. The statistics
-    are judged by `_check`, as the verifiers judge generated images. The
-    path's values must lie in [0, grey_depth), as `generate`'s images do.
-    Returns the CSV text and the entropy report of `generate`'s images.
+    are judged by `_check`, as `verify_scale_space` judges generated
+    images. The path's values must lie in [0, grey_depth), as `generate`'s
+    images do. Returns the CSV text and the entropy report of `generate`'s
+    images.
     """
     part = level_partition(image, mask)
     _check_initial_values(part.values, path)

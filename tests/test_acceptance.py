@@ -19,9 +19,7 @@ from qss import (
     round_to_grey,
     sparsification_quant_path,
     uniform_path,
-    verify_contrast_lyapunov,
-    verify_lyapunov_entropy,
-    verify_maxmin,
+    verify_scale_space,
     verify_semigroup,
     ward_path,
 )
@@ -57,7 +55,7 @@ def test_criterion_1_entropy_lyapunov(corpus):
     start = time.time()
     for entry in corpus:
         for method, (mask, path, sequence) in entry["methods"].items():
-            report = verify_lyapunov_entropy(sequence, mask)
+            report = verify_scale_space(sequence, mask)[0]
             assert not report.violations, (method, report.violations)
             assert not report.strict_violations, (method, report.strict_violations)
     elapsed = time.time() - start
@@ -73,10 +71,11 @@ def test_criterion_2_property_suite(corpus):
         for method, (mask, path, sequence) in entry["methods"].items():
             # Property 1: original image as initial state
             assert sequence[0] == img
+            _, contrast, bounds = verify_scale_space(sequence, mask)
             # Property 3: max-min bounds on the considered domain
-            assert verify_maxmin(sequence, mask).passed, method
+            assert bounds.passed, method
             # Property 4: contrast Lyapunov
-            assert verify_contrast_lyapunov(sequence, mask).passed, method
+            assert contrast.passed, method
             # Property 6: flat steady state
             final = sequence[-1].pixels if mask is None else (
                 sequence[-1].pixels[mask.indices])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -568,3 +569,13 @@ def test_only_inpainting_loads_scipy(tmp_path):
     assert all(sparse == [] for _, _, sparse in steps[:-1]), steps
     assert "scipy.sparse.linalg" in steps[-1][2]
     assert np.array_equal(np.fromfile(out), inpaint(img, spath.mask_at(128)))
+
+
+def test_sparsification_options_have_one_help_text():
+    """`sparsify` and `compress` document --p, --q and --seed alike."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {name: {a.dest: a.help for a in sub.choices[name]._actions}
+             for name in ("sparsify", "compress")}
+    for dest in ("p", "q", "seed"):
+        assert helps["sparsify"][dest] and helps["sparsify"][dest] == helps["compress"][dest]

@@ -11,9 +11,7 @@ from qss import (
     generate,
     level_partition,
     uniform_path,
-    verify_contrast_lyapunov,
-    verify_lyapunov_entropy,
-    verify_maxmin,
+    verify_scale_space,
     verify_semigroup,
     ward_path,
 )
@@ -58,7 +56,7 @@ class TestEntropyLyapunov:
     def test_strict_decrease_merging_singletons(self):
         img = Image(4, 1, [4, 4, 5, 6])
         path = QuantisationPath((4, 5, 6), (MergeStep(5, 6, 5),))
-        report = verify_lyapunov_entropy(generate(img, None, path))
+        report = verify_scale_space(generate(img, None, path))[0]
         assert report.entropies == pytest.approx([1.5, 1.0])
         assert report.passed
 
@@ -66,26 +64,26 @@ class TestEntropyLyapunov:
         # uniform path on a 2-value image: most steps touch empty bins
         img = Image(2, 2, [0, 0, 3, 3], grey_depth=4)
         seq = generate(img, None, uniform_path(4))
-        report = verify_lyapunov_entropy(seq)
+        report = verify_scale_space(seq)[0]
         assert report.passed
         assert report.entropies[0] == report.entropies[1] == 1.0
 
     def test_full_path_ends_at_zero_entropy(self):
         rng = np.random.default_rng(0)
         img = Image(5, 5, rng.integers(0, 30, 25))
-        report = verify_lyapunov_entropy(generate(img, None, ward_of(img)))
+        report = verify_scale_space(generate(img, None, ward_of(img)))[0]
         assert report.passed
         assert report.entropies[-1] == 0.0
 
     def test_violation_reported_not_raised(self):
         increasing = [Image(2, 1, [0, 0]), Image(2, 1, [0, 1])]
-        report = verify_lyapunov_entropy(increasing)
+        report = verify_scale_space(increasing)[0]
         assert not report.passed and report.violations == [0]
 
     def test_merge_without_strict_drop_reported(self):
         # 5 levels (1, 1, 1, 1, 4) and 4 levels (2, 2, 2, 2) both have 2 bits
         flat = [Image(8, 1, [0, 1, 2, 3, 4, 4, 4, 4]), Image(8, 1, [0, 0, 1, 1, 2, 2, 3, 3])]
-        report = verify_lyapunov_entropy(flat)
+        report = verify_scale_space(flat)[0]
         assert report.entropies == [2.0, 2.0]
         assert report.violations == [] and report.strict_violations == [0]
 
@@ -93,16 +91,16 @@ class TestEntropyLyapunov:
 class TestMaxMin:
     def test_constant_sequence(self):
         seq = [Image(2, 1, [5, 5])] * 3
-        assert verify_maxmin(seq).passed
+        assert verify_scale_space(seq)[2].passed
 
     def test_uniform_full_range(self):
         img = Image(16, 16, np.arange(256), grey_depth=256)
         seq = generate(img, None, uniform_path(256))
-        assert verify_maxmin(seq).passed
+        assert verify_scale_space(seq)[2].passed
 
     def test_bounds_are_those_of_the_first_image(self):
         seq = [Image(3, 1, p) for p in ([0, 5, 9], [5, 5, 5], [0, 5, 9], [0, 5, 10])]
-        report = verify_maxmin(seq)
+        report = verify_scale_space(seq)[2]
         assert report.values == [(0, 9), (5, 5), (0, 9), (0, 10)]
         assert report.violations == [3]
 
@@ -111,7 +109,7 @@ class TestMaxMin:
         for _ in range(10):
             img = Image(4, 4, rng.integers(0, 64, 16))
             seq = generate(img, None, ward_of(img))
-            assert verify_maxmin(seq).passed
+            assert verify_scale_space(seq)[2].passed
 
 
 class TestSemigroup:
@@ -135,23 +133,23 @@ class TestSemigroup:
 
 class TestContrastLyapunov:
     def test_constant_sequence(self):
-        report = verify_contrast_lyapunov([Image(2, 1, [5, 5])] * 3)
+        report = verify_scale_space([Image(2, 1, [5, 5])] * 3)[1]
         assert report.passed and report.values == [0, 0, 0]
 
     def test_strict_drop_merging_extremes(self):
         img = Image(3, 1, [0, 100, 255])
         path = QuantisationPath((0, 100, 255), (MergeStep(100, 255, 100),))
-        report = verify_contrast_lyapunov(generate(img, None, path))
+        report = verify_scale_space(generate(img, None, path))[1]
         assert report.values == [255, 100]
 
     def test_uniform_on_full_range(self):
         img = Image(16, 16, np.arange(256), grey_depth=256)
-        report = verify_contrast_lyapunov(generate(img, None, uniform_path(256)))
+        report = verify_scale_space(generate(img, None, uniform_path(256)))[1]
         assert report.passed
 
     def test_increase_reported(self):
         seq = [Image(2, 1, p) for p in ([0, 9], [4, 5], [4, 5], [3, 5])]
-        report = verify_contrast_lyapunov(seq)
+        report = verify_scale_space(seq)[1]
         assert report.values == [9, 1, 1, 2]
         assert report.violations == [2]
 
@@ -239,14 +237,12 @@ def test_report_csv_rejects_path_values_outside_grey_range(path):
 
 
 def _report_oracle(image, mask, path):
-    """`report_csv` computed image by image: every scale is generated, the
-    verifiers judge the sequence, and the MSE is the mean of the squared
-    differences of the domain values."""
+    """`report_csv` computed image by image: every scale is generated,
+    `verify_scale_space` judges the sequence, and the MSE is the mean of
+    the squared differences of the domain values."""
     domain = (lambda f: f.pixels) if mask is None else (lambda f: f.pixels[mask.indices])
     seq = list(generate(image, mask, path))
-    lyap = verify_lyapunov_entropy(seq, mask)
-    contrast = verify_contrast_lyapunov(seq, mask)
-    bounds = verify_maxmin(seq, mask)
+    lyap, contrast, bounds = verify_scale_space(seq, mask)
     lines = ["step,active_levels,entropy_bits,contrast,mse,entropy_ok,contrast_ok,maxmin_ok"]
     for m, f in enumerate(seq):
         d = domain(f) - domain(image).astype(float)
@@ -294,19 +290,28 @@ def test_report_csv_equals_image_oracle(masked):
     assert kinds == {(0, True), (0, False), (1, True), (1, False), (2, True), (2, False)}
 
 
-@pytest.mark.parametrize(
-    "check",
-    [verify_lyapunov_entropy, verify_maxmin, verify_contrast_lyapunov],
-)
-def test_checks_consume_a_generator_once(check):
+def test_verify_scale_space_consumes_a_generator_once():
     img = Image(4, 1, [0, 0, 10, 100])
     path = ward_of(img)
     seq = generate(img, None, path)
-    assert check(seq) == check(list(generate(img, None, path)))
+    assert verify_scale_space(seq) == verify_scale_space(list(generate(img, None, path)))
     with pytest.raises(ValueError, match="empty"):
-        check(seq)
+        verify_scale_space(seq)
     with pytest.raises(ValueError, match="empty"):
-        check([])
+        verify_scale_space([])
+
+
+@pytest.mark.parametrize("pixels, flagged", [
+    # entropy 0.81 -> 1 bit; contrast 9 and bounds [0, 9] kept
+    (([0, 0, 0, 9], [0, 0, 9, 9]), [True, False, False]),
+    # contrast 9 -> 1 -> 1 -> 2 inside [0, 9]; two levels with 1 bit each
+    (([0, 9, 0, 9], [4, 5, 4, 5], [4, 5, 4, 5], [3, 5, 3, 5]), [False, True, False]),
+    # [0, 9] shifted to [1, 10]: same entropy and contrast, out of bounds
+    (([0, 9, 0, 9], [1, 10, 1, 10]), [False, False, True]),
+])
+def test_each_report_flags_only_its_own_property(pixels, flagged):
+    reports = verify_scale_space([Image(4, 1, p) for p in pixels])
+    assert [not report.passed for report in reports] == flagged
 
 
 def test_generate_is_lazy():
