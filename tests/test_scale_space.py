@@ -290,11 +290,18 @@ def test_report_csv_equals_image_oracle(masked):
     assert kinds == {(0, True), (0, False), (1, True), (1, False), (2, True), (2, False)}
 
 
-def test_verify_scale_space_consumes_a_generator_once():
+@pytest.mark.parametrize(
+    "report",
+    [0, 2, 1],
+    ids=["verify_lyapunov_entropy", "verify_maxmin", "verify_contrast_lyapunov"],
+)
+def test_checks_consume_a_generator_once(report):
+    # each report of the (entropy, contrast, max-min) triple, judged in turn
     img = Image(4, 1, [0, 0, 10, 100])
     path = ward_of(img)
     seq = generate(img, None, path)
-    assert verify_scale_space(seq) == verify_scale_space(list(generate(img, None, path)))
+    expected = verify_scale_space(list(generate(img, None, path)))[report]
+    assert verify_scale_space(seq)[report] == expected
     with pytest.raises(ValueError, match="empty"):
         verify_scale_space(seq)
     with pytest.raises(ValueError, match="empty"):
