@@ -5,6 +5,8 @@ combined with spatial sparsification and homogeneous diffusion inpainting
 for rate-distortion optimised image compression.
 """
 
+from types import ModuleType as _ModuleType
+
 from .image import (
     DomainError,
     Image,
@@ -38,5 +40,7 @@ from .compression import (
     rd_optimize,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules that importing binds stay out
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

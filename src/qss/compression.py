@@ -15,17 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .image import DomainError, Image, Mask, _domain, _histogram, entropy, level_partition
+from .image import DomainError, Image, _domain, _histogram, entropy
 from .inpainting import _BLOCK_COLUMNS, InpaintSolver, _round_grey
-from .quantisation import (
-    QuantisationPath,
-    _level_basis,
-    _quantised_known_values,
-    _spars_quant_path,
-    sparsification_quant_path,
-    uniform_path,
-    ward_path,
-)
+from .quantisation import _level_basis, _quant_path, _quantised_known_values, build_quant_path
 from .sparsification import SparsificationPath
 
 METHODS = ("uniform", "ward", "sparsification")
@@ -92,17 +84,6 @@ def default_l_grid(image_size: int):
     return sorted({image_size - math.ceil(d * image_size) for d in DEFAULT_DENSITIES})
 
 
-def build_quant_path(image: Image, mask: Mask | None, method: str) -> QuantisationPath:
-    """Quantisation path for the known data of one mask (all pixels if None)."""
-    if method == "uniform":
-        return uniform_path(image.grey_depth)
-    if method == "ward":
-        return ward_path(level_partition(image, mask))
-    if method == "sparsification":
-        return sparsification_quant_path(image, mask)
-    raise ValueError("unknown method %r" % method)
-
-
 def evaluate_grid(
     image: Image,
     spars_path: SparsificationPath,
@@ -130,8 +111,10 @@ def evaluate_grid(
     values and their histogram are read once, it is factorised once, and
     the harmonic basis psi_c of every cluster c of its known values at
     m = 0 is found by one block solve on first use. Each method builds its
-    path from that state (the sparsification method from the basis of
-    m = 0), and each l is one walk of each path, m = 0 ... len(path): the
+    path from that state through the dispatch of `build_quant_path` (the
+    sparsification method from the basis of m = 0 on a mask with unknowns,
+    and as Ward's path on the full mask, where it needs no basis), and
+    each l is one walk of each path, m = 0 ... len(path): the
     known values at m are those at m - 1 after one merge step, and each m
     adds its cost point. At the first affordable m (m = 0 without a
     budget) the reconstruction is sum_c c psi_c, from the shared basis of
@@ -164,12 +147,7 @@ def _evaluate_mask(image, mask, l, points, budget, on_reconstruction):
     shared = functools.cache(lambda: _level_basis(solver, known, part.values))
     last = list(points)[-1]
     for method, method_points in points.items():
-        if method == "sparsification":
-            path = _spars_quant_path(image, part, solver, shared())
-        elif method == "ward":
-            path = ward_path(part)
-        else:  # uniform; an unknown method raises
-            path = build_quant_path(image, mask, method)
+        path = _quant_path(image, part, method, shared)  # an unknown method raises
         zero_basis = shared if method == last else lambda: shared().copy()
         method_points += _walk_path(image, l, known, solver, path, method, zero_basis,
                                     budget, on_reconstruction)

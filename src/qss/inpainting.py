@@ -162,10 +162,6 @@ class InpaintSolver:
         self._border: dict[int, np.ndarray] = {}
 
     @property
-    def n_unknown(self) -> int:
-        return int(self._unknown.size)
-
-    @property
     def border_columns(self) -> int:
         """Border columns back-substituted and kept so far."""
         return len(self._border)

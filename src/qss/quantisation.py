@@ -6,7 +6,9 @@ Three builders are provided: uniform pyramidal merging, greedy Ward
 clustering on the known data, and quantisation by sparsification (greedy
 merging by global inpainting error). The last two run one merge loop:
 Ward clustering is its full-mask case, where the inpainting basis
-functions are the level-set indicators.
+functions are the level-set indicators. `build_quant_path` picks the
+builder of a method, for the command line and the rate-distortion grid
+alike.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import DomainError, Image, LevelPartition, Mask, _domain, _histogram, _with_domain
+from .image import DomainError, Image, LevelPartition, Mask, _domain, _with_domain, level_partition
 from .inpainting import InpaintSolver
 
 
@@ -192,7 +194,8 @@ def _greedy_merge(values, counts, dots, gram):
 
     The clusters keep their indices: v, n, dots and the Gram diagonal g are
     vectors over all initial clusters, and the shape of `gram` sets the
-    update rule once per call. Given the diagonal alone (Ward, or a full
+    update rule once per call. Given the diagonal alone, which only
+    `ward_path` passes (it is also the sparsification path of a full
     mask), a merge updates g and dots at the kept and dropped cluster and
     changes the costs of the kept cluster only: the loop stores the
     pair-cost matrix, rewrites the kept cluster's row and column after each
@@ -251,9 +254,10 @@ def ward_path(partition: LevelPartition) -> QuantisationPath:
     `sparsification_quant_path` with a full mask, whose basis functions
     are the level-set indicators: their Gram matrix is the diagonal of the
     counts, which is all `_greedy_merge` is given, and the initial residual
-    is zero, so every update stays an exact integer. A step rewrites the
-    kept cluster's O(levels) pair costs and takes one argmin over the
-    stored cost matrix.
+    is zero, so every update stays an exact integer. It is therefore the
+    sparsification path of a full mask too, which `build_quant_path`
+    builds here, without a solver. A step rewrites the kept cluster's O(levels)
+    pair costs and takes one argmin over the stored cost matrix.
     """
     if partition.values.size == 0:
         raise DomainError("empty partition")
@@ -272,40 +276,62 @@ def sparsification_quant_path(image: Image, mask: Mask | None) -> QuantisationPa
     of the level indicators; a candidate is then a rank-one update of the
     residual. The merge loop needs only the Gram matrix of the basis
     functions and their inner products with the residual: forming them
-    reads the image, O(levels^2 N) for N pixels, but a step does not. A
-    step recomputes all O(levels^2) pair costs for a mask with unknowns,
-    whose Gram is dense, and only the kept cluster's O(levels) for a full
-    mask, whose Gram is the diagonal of the counts (see `_greedy_merge`).
-    With a full mask this reduces to Ward clustering, step for step.
-    `evaluate_grid` builds the same path (`_spars_quant_path`) from the
-    histogram, solver and basis of m = 0 that it shares with every method
-    it evaluates, and reconstructs every scale through the same
-    factorisation, so each mask is factorised once. A `None` mask raises
-    DomainError.
+    reads the image, O(levels^2 N) for N pixels, but a step does not, and
+    recomputes all O(levels^2) pair costs. On a full mask the basis
+    functions are the level-set indicators, so this is Ward clustering,
+    step for step: the path is `ward_path`'s, built without a solver.
+    This is `build_quant_path(image, mask, "sparsification")`, and a
+    `None` mask raises DomainError. `evaluate_grid` builds the same path
+    through the same dispatch, from the basis of m = 0 it shares with
+    every method it evaluates on the mask.
     """
-    if mask is None:
+    return build_quant_path(image, mask, "sparsification")
+
+
+def build_quant_path(image: Image, mask: Mask | None, method: str) -> QuantisationPath:
+    """Quantisation path of `method` ("uniform", "ward" or
+    "sparsification") for the known data of one mask, or of the whole
+    image for None; an unknown method raises ValueError.
+
+    Every mask passes `_domain`, so a mask built for an image of another
+    size, or an empty mask, raises DomainError for every method, and so
+    does the sparsification method without a mask. The mask is factorised
+    only for a sparsification path on a mask with unknowns (see
+    `_quant_path`).
+    """
+    if mask is None and method == "sparsification":
         raise DomainError("the sparsification method needs a mask")
-    known = _domain(image, mask)
-    part = _histogram(known)
-    solver = InpaintSolver(mask, image.width, image.height)
-    return _spars_quant_path(image, part, solver, _level_basis(solver, known, part.values))
+    part = level_partition(image, mask)
+
+    def basis():
+        solver = InpaintSolver(mask, image.width, image.height)
+        return _level_basis(solver, _domain(image, mask), part.values)
+
+    return _quant_path(image, part, method, basis)
 
 
-def _spars_quant_path(image, part, solver, psi) -> QuantisationPath:
-    """The path of `sparsification_quant_path` for a mask whose known data
-    has the histogram `part`, from the mask's `InpaintSolver` and the
-    level basis psi of `part.values` (see `_level_basis`), which is only
-    read.
+def _quant_path(image, part, method, basis) -> QuantisationPath:
+    """The path of `build_quant_path` for a domain with histogram `part`,
+    where `basis()` gives the mask's level basis psi of `part.values`
+    (see `_level_basis`), which is only read; it is called only for a
+    sparsification path on a mask with unknowns.
 
-    A mask with unknowns passes the dense Gram psi psi^T to `_greedy_merge`.
-    A full mask passes the counts instead: its basis functions are the
-    level-set indicators, whose Gram is the diagonal of the counts, so the
-    merge loop takes its diagonal update and psi psi^T is never formed.
+    A full mask, `part.domain_size == image.size`, has the level-set
+    indicators as its basis, whose Gram is the diagonal of the counts and
+    whose reconstruction is the image itself, so its sparsification path
+    is `ward_path(part)`. A mask with unknowns passes the dense Gram
+    psi psi^T and psi . res, res the image minus the reconstruction, to
+    `_greedy_merge`.
     """
-    v = part.values
-    res = image.pixels.astype(np.float64) - v @ psi
-    gram = psi @ psi.T if solver.n_unknown else part.counts.astype(np.float64)
-    steps = _greedy_merge(v, part.counts, psi @ res, gram)
+    if method == "uniform":
+        return uniform_path(image.grey_depth)
+    if method == "ward" or (method == "sparsification" and part.domain_size == image.size):
+        return ward_path(part)
+    if method != "sparsification":
+        raise ValueError("unknown method %r" % method)
+    psi = basis()
+    res = image.pixels.astype(np.float64) - part.values @ psi
+    steps = _greedy_merge(part.values, part.counts, psi @ res, psi @ psi.T)
     return QuantisationPath(tuple(part.values), steps)
 
 

@@ -13,11 +13,13 @@ from qss import (
     Image,
     coding_cost,
     inpaint,
+    level_partition,
     load_pgm,
     probabilistic_sparsify,
     read_pgm,
     save_pgm,
     uniform_path,
+    ward_path,
 )
 from qss import cli
 from qss.cli import main
@@ -25,8 +27,13 @@ from qss.compression import InfeasibleBudgetError, build_quant_path
 from qss.image import DomainError
 from qss.inpainting import InpaintingError
 from qss.pgm import PgmError
-from qss.quantisation import PathError, apply_path, read_quant_path_file
-from qss.sparsification import read_path_file, write_path_file
+from qss.quantisation import (
+    PathError,
+    apply_path,
+    read_quant_path_file,
+    write_quant_path_file,
+)
+from qss.sparsification import SparsificationPath, read_path_file, write_path_file
 
 from conftest import make_synthetic
 
@@ -142,6 +149,21 @@ def test_mask_path_outside_image_is_input_error(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "x.pgm").exists()
+
+
+@pytest.mark.parametrize("command, output", [
+    (["quantise", "--levels", "1", "--out", "x"], "x.pgm"),
+    (["scalespace", "--report", "x.csv"], "x.csv"),
+], ids=["quantise", "scalespace"])
+def test_mask_path_of_another_image_size_is_input_error(tmp_path, capsys, command, output):
+    pgm_path, path_file = tmp_path / "in.pgm", tmp_path / "four.txt"
+    save_pgm(pgm_path, Image(3, 1, [10, 20, 30]))
+    path_file.write_text(write_path_file(SparsificationPath(np.arange(4), 4)))
+    argv = [command[0], str(pgm_path), "--method", "ward", "--mask", "%s@0.5" % path_file,
+            *command[1:-1], str(tmp_path / command[-1])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: mask path size does not match image\n"
+    assert not (tmp_path / output).exists()
 
 
 def test_mask_path_with_huge_size_is_input_error(tmp_path, capsys):
@@ -569,6 +591,35 @@ def test_only_inpainting_loads_scipy(tmp_path):
     assert all(sparse == [] for _, _, sparse in steps[:-1]), steps
     assert "scipy.sparse.linalg" in steps[-1][2]
     assert np.array_equal(np.fromfile(out), inpaint(img, spath.mask_at(128)))
+
+
+def test_full_mask_sparsification_loads_no_scipy(tmp_path):
+    """In a fresh interpreter, `quantise` and `scalespace` with the
+    sparsification method on a full mask load no scipy.sparse module: the
+    path is Ward's, built without a solver, as the qpath file shows."""
+    img = make_synthetic(16)
+    pgm_path, path_file = tmp_path / "in.pgm", tmp_path / "p.txt"
+    save_pgm(pgm_path, img)
+    path_file.write_text(write_path_file(probabilistic_sparsify(img, seed=0)))
+    full = "%s@1" % path_file
+    commands = [
+        ["quantise", str(pgm_path), "--method", "spars", "--mask", full, "--levels", "4",
+         "--out", str(tmp_path / "q")],
+        ["scalespace", str(pgm_path), "--method", "spars", "--mask", full,
+         "--report", str(tmp_path / "r.csv")],
+    ]
+    args = {"commands": commands, "path": str(path_file), "scale": 128,
+            "pgm": str(pgm_path), "out": str(tmp_path / "u.f64")}
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH_INTERPRETER, json.dumps(args)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    steps = json.loads(run.stdout.splitlines()[-1])
+    assert [code for _, code, _ in steps] == [None, 0, 0, None], steps
+    assert all(sparse == [] for _, _, sparse in steps[:-1]), steps
+    ward = write_quant_path_file(ward_path(level_partition(img)))
+    assert (tmp_path / "q.qpath").read_text() == ward
 
 
 def test_sparsification_options_have_one_help_text():

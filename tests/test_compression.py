@@ -137,6 +137,11 @@ class TestRdOptimize:
         )
         assert (point.l, point.m) == (best.l, best.m)
 
+    def test_empty_l_grid_is_an_input_error(self, small_setup):
+        img, spath = small_setup
+        with pytest.raises(ValueError, match="^empty l grid$"):
+            rd_optimize(img, spath, "ward", l_grid=[])
+
     @pytest.mark.parametrize("l_grid", [[10, 40], [40, 10]])
     def test_ties_go_to_larger_l_in_any_grid_order(self, l_grid):
         # a constant image inpaints exactly from any mask: every point ties
@@ -173,6 +178,14 @@ def test_rd_curve(small_setup):
     for data in curves.values():
         assert data["envelope"]
         assert data["envelope"] == rate_distortion_envelope(data["points"])
+
+
+def test_rd_curve_defaults_to_the_default_l_grid(small_setup):
+    img, spath = small_setup
+    points = rd_curve(img, spath, methods=("ward",))["ward"]["points"]
+    assert sorted({p.l for p in points}) == default_l_grid(img.size)
+    explicit = rd_curve(img, spath, methods=("ward",), l_grid=default_l_grid(img.size))
+    assert repr(points) == repr(explicit["ward"]["points"])
 
 
 def test_default_l_grid():
@@ -330,8 +343,10 @@ def test_one_walk_of_the_path_per_mask(synthetic_grid, monkeypatch, method, targ
 @pytest.mark.parametrize("target", [None, 20])
 def test_methods_share_each_masks_factorisation_and_basis(synthetic_grid, monkeypatch, target):
     """Over all methods at once, each mask is factorised once and its basis
-    of m = 0 solved once; only a method whose first affordable scale is
-    m > 0 solves a basis of its own."""
+    of m = 0 solved at most once: if some method walks from m = 0, or the
+    sparsification method sees unknowns. The full mask's sparsification
+    path is Ward's and reads no basis. Only a method whose first
+    affordable scale is m > 0 solves a basis of its own."""
     img, spath, l_grid = synthetic_grid
     budget = math.inf if target is None else 8.0 * img.size / target
     sizes, bases = [], []
@@ -356,7 +371,8 @@ def test_methods_share_each_masks_factorisation_and_basis(synthetic_grid, monkey
                 first.setdefault((method, p.l), p.m)
     for l in l_grid:
         later = sum(first[method, l] > 0 for method in METHODS)
-        assert bases.count(img.size - l) == 1 + later
+        zero = l > 0 or any(first[method, l] == 0 for method in METHODS)
+        assert bases.count(img.size - l) == zero + later
     assert (len(bases) > len(l_grid)) == (target is not None)
 
 

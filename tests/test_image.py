@@ -26,6 +26,14 @@ class TestImage:
             Image(2, 1, [0, 256])
         with pytest.raises(ValueError):
             Image(0, 2, [])
+        with pytest.raises(ValueError, match="grey depth must be positive"):
+            Image(1, 1, [0], grey_depth=0)
+
+    @pytest.mark.parametrize("grid", [[1, 2, 3], np.zeros((2, 2, 1), dtype=int)],
+                             ids=["1-D", "3-D"])
+    def test_from_grid_needs_a_2d_array(self, grid):
+        with pytest.raises(ValueError, match="expected a 2-D array"):
+            Image.from_grid(grid)
 
     def test_grid_roundtrip(self):
         img = Image(3, 2, [1, 2, 3, 4, 5, 6])
@@ -71,6 +79,12 @@ class TestMask:
         indices[0] = 0
         assert indices.flags.writeable
         assert mask.indices.tolist() == [1, 3, 4]
+
+    def test_equality(self):
+        mask = Mask([3, 0], 5)
+        assert mask == Mask(np.array([0, 3]), 5)
+        assert mask != Mask([0, 3], 6)
+        assert mask != Mask([0, 4], 5)
 
     @pytest.mark.parametrize("indices", [[0, 5], [5, 0], [-1, 2], [2, -1]])
     def test_rejects_out_of_range(self, indices):
@@ -233,6 +247,17 @@ class TestMse:
             a = Image(3, 3, rng.integers(0, 4, 9))
             b = Image(3, 3, rng.integers(0, 4, 9))
             assert (mse(a, b) == 0.0) == (a == b)
+
+
+@pytest.mark.parametrize(
+    "value, other",
+    [(Image(2, 1, [0, 1]), Mask([0, 1], 2)), (Mask([0, 1], 2), Image(2, 1, [0, 1])),
+     (Image(2, 1, [0, 1]), (0, 1)), (Mask([0, 1], 2), [0, 1])],
+    ids=["image-mask", "mask-image", "image-tuple", "mask-list"],
+)
+def test_comparison_with_another_type_is_unequal(value, other):
+    assert value.__eq__(other) is NotImplemented
+    assert value != other and not value == other
 
 
 def _ward_of(img):

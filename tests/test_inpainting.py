@@ -87,6 +87,15 @@ def test_empty_mask_rejected():
         inpaint(Image(2, 2, [0, 0, 0, 0]), Mask([], 4))
 
 
+@pytest.mark.parametrize(
+    "mask, match", [(Mask([], 4), "empty mask"), (Mask([0, 1], 9), "does not match")],
+    ids=["empty", "other-size"],
+)
+def test_solver_rejects_a_foreign_or_empty_mask(mask, match):
+    with pytest.raises(DomainError, match=match):
+        InpaintSolver(mask, 2, 2)
+
+
 def test_missing_mask_rejected():
     with pytest.raises(DomainError, match="needs a mask"):
         inpaint(Image(2, 1, [0, 255]), None)
@@ -409,6 +418,8 @@ class TestBorderedSolve:
         base = solver.solve(img.pixels[kept.indices])
         with pytest.raises(DomainError):
             solver.solve_bordered(base, Mask([0, 1], img.size))
+        with pytest.raises(DomainError, match="empty mask"):
+            solver.solve_bordered(base, Mask([], img.size))
         with pytest.raises(DomainError):
             solver.solve_bordered(base[:-1], Mask([0, 2], img.size))
 

@@ -81,6 +81,11 @@ def test_tokenizer_edge_cases(data, expected):
     assert list(read_pgm(data).pixels) == expected
 
 
+def test_write_rejects_grey_depth_above_8_bit():
+    with pytest.raises(PgmError, match="grey depth 512 exceeds 8 bit"):
+        write_pgm(Image(1, 1, [300], grey_depth=512))
+
+
 def test_value_above_maxval_rejected():
     with pytest.raises(PgmError, match="maxval"):
         read_pgm(b"P2 1 1 10\n11")

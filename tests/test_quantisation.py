@@ -18,8 +18,14 @@ from qss import (
     uniform_path,
     ward_path,
 )
-from qss import quantisation
-from qss.quantisation import _greedy_merge, read_quant_path_file, write_quant_path_file
+from qss import compression, inpainting, quantisation
+from qss.compression import METHODS
+from qss.quantisation import (
+    _greedy_merge,
+    build_quant_path,
+    read_quant_path_file,
+    write_quant_path_file,
+)
 
 from conftest import make_synthetic
 
@@ -90,6 +96,10 @@ class TestPathValidation:
     def test_initial_values_must_be_integers(self, initial):
         with pytest.raises(PathError, match="integers"):
             QuantisationPath(initial, ())
+
+    def test_empty_initial_values_rejected(self):
+        with pytest.raises(PathError, match="empty initial value set"):
+            QuantisationPath((), ())
 
     def test_numpy_integers_accepted(self):
         step = MergeStep(np.int64(1), np.int32(2), np.uint8(1))
@@ -465,6 +475,36 @@ class TestSparsificationQuantPath:
         mask = Mask(rng.choice(img.size, size=round(density * img.size), replace=False),
                     img.size)
         assert sparsification_quant_path(img, mask) == spars_reference_path(img, mask)
+
+    def test_full_mask_is_ward_without_a_factorisation(self, monkeypatch):
+        img = make_synthetic(32)
+        ward = ward_path(level_partition(img))
+        sizes = []
+        factorize = inpainting._factorize
+        monkeypatch.setattr(inpainting, "_factorize",
+                            lambda A: sizes.append(A.shape[0]) or factorize(A))
+        full = Mask.full(img.size)
+        assert sparsification_quant_path(img, full) == ward
+        assert build_quant_path(img, full, "sparsification") == ward
+        assert sizes == []
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "mask", [Mask([], 6), Mask([0, 7, 11], 12), Mask([0, 1], 4)],
+    ids=["empty", "larger-image", "smaller-image"],
+)
+def test_build_quant_path_checks_every_mask(method, mask):
+    """Every method reads the domain, so a mask that is empty or built for
+    an image of another size raises DomainError, uniform included."""
+    with pytest.raises(DomainError):
+        build_quant_path(Image(3, 2, [0, 4, 4, 9, 0, 9]), mask, method)
+
+
+def test_build_quant_path_is_compressions():
+    assert compression.build_quant_path is quantisation.build_quant_path
+    with pytest.raises(ValueError, match="^unknown method 'x'$"):
+        build_quant_path(Image(2, 1, [0, 1]), None, "x")
 
 
 def test_quant_path_file_roundtrip():
