@@ -17,7 +17,10 @@ import numpy as np
 
 from .image import DomainError, Image, _domain, _histogram, entropy
 from .inpainting import _BLOCK_COLUMNS, InpaintSolver, _round_grey
-from .quantisation import _level_basis, _quant_path, _quantised_known_values, build_quant_path
+from .quantisation import (
+    _level_basis, _quant_path, _quantised_known_values, _value_map, build_quant_path,
+)
+from .scale_space import _walk
 from .sparsification import SparsificationPath
 
 METHODS = ("uniform", "ward", "sparsification")
@@ -71,9 +74,12 @@ def coding_cost(known_values: np.ndarray, q_levels: int, method: str) -> CostMod
     values = np.asarray(known_values).ravel()
     if values.size == 0:
         raise DomainError("empty known data")
-    per_value = entropy(_histogram(values))
+    return _cost_model(entropy(_histogram(values)), int(values.size), q_levels, method)
+
+
+def _cost_model(per_value_bits, n_known, q_levels, method) -> CostModel:
     overhead = 8.0 if method == "uniform" else 8.0 * q_levels
-    return CostModel(per_value, int(values.size), overhead)
+    return CostModel(per_value_bits, n_known, overhead)
 
 
 def default_l_grid(image_size: int):
@@ -124,7 +130,10 @@ def evaluate_grid(
     psi_r = psi_a + psi_b. Affordable reconstructions are scored
     `_BLOCK_COLUMNS` at a time: each block passes `InpaintSolver.check`,
     as a solve does, then is rounded to grey values and scored in place
-    (`_score`); no `Image` is built per point.
+    (`_score`); no `Image` is built per point. The full mask is neither
+    factorised nor solved: its reconstruction at scale m is the quantised
+    image, and its points come from the histogram walk of `report_csv`
+    (`_full_mask_points`).
     """
     if not budget > 0:  # an input error, not an infeasible one
         raise ValueError("budget must be positive")
@@ -139,10 +148,17 @@ def _evaluate_mask(image, mask, l, points, budget, on_reconstruction):
 
     The state of the mask is local, so it is freed before the next mask
     is factorised. The basis of m = 0 is walked in place by the last
-    method and copied for the others.
+    method and copied for the others. A full mask builds neither a solver
+    nor a basis (see `_full_mask_points`).
     """
     known = _domain(image, mask)
     part = _histogram(known)
+    if part.domain_size == image.size:
+        for method, method_points in points.items():
+            path = _quant_path(image, part, method, None)  # an unknown method raises
+            method_points += _full_mask_points(image, part, path, method, budget,
+                                               on_reconstruction)
+        return
     solver = InpaintSolver(mask, image.width, image.height)
     shared = functools.cache(lambda: _level_basis(solver, known, part.values))
     last = list(points)[-1]
@@ -151,6 +167,33 @@ def _evaluate_mask(image, mask, l, points, budget, on_reconstruction):
         zero_basis = shared if method == last else lambda: shared().copy()
         method_points += _walk_path(image, l, known, solver, path, method, zero_basis,
                                     budget, on_reconstruction)
+
+
+def _full_mask_points(image, part, path, method, budget, on_reconstruction):
+    """The points of one method at l = 0, in ascending m.
+
+    A full mask's reconstruction at scale m is the quantised image itself,
+    so the histogram walk of `report_csv` gives each point at once: the
+    entropy of f^m, bit-identical to that of its histogram, is the
+    per-value rate, and its exact squared error over N the MSE, as
+    `_score` finds it. Only an affordable point's grey values are read,
+    through the lookup table of its scale, and only for a callback.
+    """
+    levels = len(path.initial_values)
+    lut = _value_map((), image.grey_depth)
+    points = []
+    for m, ((*_, bits), err) in enumerate(_walk(part, path, image.grey_depth)):
+        if m:
+            _value_map(path.steps[m - 1 : m], image.grey_depth, lut)
+        cost = _cost_model(bits, image.size, levels - m, method)
+        point = RateDistortionPoint(0, m, levels - m, math.nan,
+                                    8.0 * image.size / cost.total_bits, cost)
+        if cost.total_bits < budget:
+            point = replace(point, mse=err / image.size)
+            if on_reconstruction is not None:
+                on_reconstruction(point, lut[image.pixels])
+        points.append(point)
+    return points
 
 
 def _walk_path(image, l, known, solver, path, method, zero_basis, budget, on_reconstruction):

@@ -129,26 +129,49 @@ def _walk(part: LevelPartition, path: QuantisationPath, grey_depth: int):
     (n_a + n_b) r^2 - 2r (S_a + S_b) - (n_a a^2 - 2a S_a) - (n_b b^2 - 2b S_b),
     an exact integer (the sums of squared original values cancel). A step
     between two absent values changes nothing; any other reads the
-    statistics from the counts, the entropy from the occurring ones in
-    ascending value order, as of a histogram.
+    statistics from the counts.
+
+    A first pass walks the counts and sums in Python integers, which also
+    gives every count the path reaches: those of f^0, then one per merge.
+    The summands p log2 p of `entropy`, p being a count over the domain
+    size, are computed for all of them in one array operation, and each
+    scale's entropy sums the summands of its occurring values in ascending
+    value order, as `entropy` sums those of a histogram: each summand and
+    so each entropy is bit-identical to `entropy(level_partition(f^m))`.
     """
     n = np.zeros(grey_depth, dtype=np.int64)
     n[part.values] = part.counts
-    s = (n * np.arange(grey_depth)).tolist()
-    stats, err = _stats(part), 0
-    yield stats, err
+    counts, sums = n.tolist(), (n * np.arange(grey_depth)).tolist()
+    occurs = n > 0
+    reached = part.counts.tolist()
+    merges, err = [], 0  # (a, b, r, squared error) of a step that moves pixels
     for step in path.steps:
         a, b, r = step.source_low, step.source_high, step.merged_value
-        na, nb = int(n[a]), int(n[b])
+        na, nb, sa, sb = counts[a], counts[b], sums[a], sums[b]
         if na or nb:
-            sa, sb = s[a], s[b]
             err += ((na + nb) * r * r - 2 * r * (sa + sb)
                     - na * a * a + 2 * a * sa - nb * b * b + 2 * b * sb)
-            n[a] = n[b] = s[a] = s[b] = 0
-            n[r], s[r] = na + nb, sa + sb
-            occurring = np.flatnonzero(n)
+            counts[a] = counts[b] = sums[a] = sums[b] = 0
+            counts[r], sums[r] = na + nb, sa + sb
+            reached.append(na + nb)
+            merges.append((a, b, r, err))
+        else:
+            merges.append(None)
+    p = np.array(reached, dtype=np.int64) / part.domain_size
+    p *= np.log2(p)
+    terms = np.zeros(grey_depth)  # the summand of each value's count
+    terms[part.values] = p[: part.values.size]
+    stats, err = _stats(part), 0
+    yield stats, err
+    merged = iter(p[part.values.size:])
+    for merge in merges:
+        if merge is not None:
+            a, b, r, err = merge
+            occurs[a] = occurs[b] = terms[a] = terms[b] = 0
+            occurs[r], terms[r] = True, next(merged)
+            occurring = np.flatnonzero(occurs)
             stats = (occurring.size, int(occurring[0]), int(occurring[-1]),
-                     entropy(n[occurring]))
+                     float(0.0 - np.sum(terms[occurring])))
         yield stats, err
 
 
@@ -158,8 +181,10 @@ def report_csv(image: Image, mask: Mask | None, path: QuantisationPath):
     The domain (the mask when one is supplied, the whole image otherwise)
     is partitioned once and `_walk` carries each grey value's pixel count
     and sum of original values along the path, O(1) per step plus the
-    entropy of the steps that change the histogram. The MSE against f^0 is
-    the exact integer squared error over the domain size. The statistics
+    entropy of the steps that change the histogram: a sum of summands
+    p log2 p, all computed up front from the counts the path reaches, and
+    bit-identical to the entropy of the generated image. The MSE against
+    f^0 is the exact integer squared error over the domain size. The statistics
     are judged by `_check`, as `verify_scale_space` judges generated
     images. The path's values must lie in [0, grey_depth), as `generate`'s
     images do. Returns the CSV text and the entropy report of `generate`'s

@@ -342,13 +342,16 @@ def test_scalespace_partitions_each_image_once(small_pgm, tmp_path, monkeypatch)
 
 
 def test_scalespace_failed_entropy_check_exits_3(small_pgm, tmp_path, monkeypatch, capsys):
-    import itertools
-
     from qss import scale_space
 
     _, pgm_path = small_pgm
-    rising = itertools.count()
-    monkeypatch.setattr(scale_space, "entropy", lambda part: float(next(rising)))
+    walk = scale_space._walk
+
+    def rising(*args):  # the report's walk, its entropy rising by a bit per step
+        for m, ((levels, lo, hi, _), err) in enumerate(walk(*args)):
+            yield (levels, lo, hi, float(m)), err
+
+    monkeypatch.setattr(scale_space, "_walk", rising)
     report = tmp_path / "r.csv"
     argv = ["scalespace", str(pgm_path), "--method", "ward", "--report", str(report)]
     assert main(argv) == 3

@@ -243,13 +243,13 @@ def test_block_scoring_skips_points_inside_a_block(synthetic_grid, monkeypatch, 
     and most l end on a partial block; every point is still the MSE of
     `round_to_grey` of a direct solve."""
     img, spath, l_grid = synthetic_grid
-    coding_cost = compression.coding_cost
+    cost_model = compression._cost_model
 
-    def skipping(g, q_levels, method):
-        cost = coding_cost(g, q_levels, method)
+    def skipping(per_value_bits, n_known, q_levels, method):
+        cost = cost_model(per_value_bits, n_known, q_levels, method)
         return replace(cost, overhead_bits=math.inf) if q_levels % 3 == 0 else cost
 
-    monkeypatch.setattr(compression, "coding_cost", skipping)
+    monkeypatch.setattr(compression, "_cost_model", skipping)
     seen = {}
     points = evaluate_grid(img, spath, (method,), l_grid, math.inf,
                            lambda point, grey: seen.setdefault((point.l, point.m), grey.copy()))
@@ -311,8 +311,8 @@ def test_sparsification_factorises_each_mask_once(synthetic_grid, monkeypatch, t
 
     monkeypatch.setattr(inpainting, "_factorize", counting)
     points = evaluate_grid(img, spath, ("sparsification",), l_grid, budget)["sparsification"]
-    # one factorisation per mask, of size l: the full mask's is 0 x 0
-    assert sorted(sizes) == sorted(l_grid)
+    # one factorisation per mask with unknowns, of size l: the full mask has none
+    assert sorted(sizes) == sorted(l for l in l_grid if l > 0)
     first = {}
     for p in points:
         if not math.isnan(p.mse):
@@ -324,17 +324,23 @@ def test_sparsification_factorises_each_mask_once(synthetic_grid, monkeypatch, t
 @pytest.mark.parametrize("target", [None, 20])
 def test_one_walk_of_the_path_per_mask(synthetic_grid, monkeypatch, method, target):
     """Costs, superpositions and scores of every m come from a single pass
-    over the quantised known values of each mask."""
+    over the quantised known values of each mask with unknowns, and from
+    one histogram walk on the full mask."""
     img, spath, l_grid = synthetic_grid
     budget = math.inf if target is None else 8.0 * img.size / target
     walks = []
-    walk = compression._quantised_known_values
+    walk, histogram_walk = compression._quantised_known_values, compression._walk
 
     def counting(values, path, grey_depth):
         walks.append(len(values))
         return walk(values, path, grey_depth)
 
+    def counting_histogram(part, path, grey_depth):
+        walks.append(part.domain_size)
+        return histogram_walk(part, path, grey_depth)
+
     monkeypatch.setattr(compression, "_quantised_known_values", counting)
+    monkeypatch.setattr(compression, "_walk", counting_histogram)
     points = evaluate_grid(img, spath, (method,), l_grid, budget)[method]
     assert walks == [img.size - l for l in l_grid]
     assert any(not math.isnan(p.mse) for p in points)
@@ -342,11 +348,11 @@ def test_one_walk_of_the_path_per_mask(synthetic_grid, monkeypatch, method, targ
 
 @pytest.mark.parametrize("target", [None, 20])
 def test_methods_share_each_masks_factorisation_and_basis(synthetic_grid, monkeypatch, target):
-    """Over all methods at once, each mask is factorised once and its basis
-    of m = 0 solved at most once: if some method walks from m = 0, or the
-    sparsification method sees unknowns. The full mask's sparsification
-    path is Ward's and reads no basis. Only a method whose first
-    affordable scale is m > 0 solves a basis of its own."""
+    """Over all methods at once, each mask with unknowns is factorised once
+    and its basis of m = 0 solved once. Only a method whose first
+    affordable scale is m > 0 solves a basis of its own. The full mask is
+    neither factorised nor solved: its sparsification path is Ward's, and
+    its reconstructions are the quantised images."""
     img, spath, l_grid = synthetic_grid
     budget = math.inf if target is None else 8.0 * img.size / target
     sizes, bases = [], []
@@ -363,17 +369,18 @@ def test_methods_share_each_masks_factorisation_and_basis(synthetic_grid, monkey
     monkeypatch.setattr(inpainting, "_factorize", counting_factorize)
     monkeypatch.setattr(compression, "_level_basis", counting_basis)
     points = evaluate_grid(img, spath, METHODS, l_grid, budget)
-    assert sorted(sizes) == sorted(l_grid)
+    unknowns = [l for l in l_grid if l > 0]
+    assert 0 in l_grid and sorted(sizes) == sorted(unknowns)
     first = {}
     for method in METHODS:
         for p in points[method]:
             if not math.isnan(p.mse):
                 first.setdefault((method, p.l), p.m)
-    for l in l_grid:
+    assert bases.count(img.size) == 0
+    for l in unknowns:
         later = sum(first[method, l] > 0 for method in METHODS)
-        zero = l > 0 or any(first[method, l] == 0 for method in METHODS)
-        assert bases.count(img.size - l) == zero + later
-    assert (len(bases) > len(l_grid)) == (target is not None)
+        assert bases.count(img.size - l) == 1 + later
+    assert (len(bases) > len(unknowns)) == (target is not None)
 
 
 @pytest.mark.parametrize("target", [None, 20])

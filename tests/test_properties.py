@@ -195,3 +195,21 @@ def merge_inputs(draw):
 @settings(repeatable, max_examples=150)
 def test_greedy_merge_matches_reference(case):
     assert_merge_matches_reference(*case)
+
+
+@st.composite
+def ward_inputs(draw):
+    """Ward's input at up to 256 levels: counts of up to about 256 x 256
+    pixels, each drawn from a few sizes, so that most merges meet ties."""
+    levels = draw(st.integers(2, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.sort(rng.choice(256, size=levels, replace=False))
+    sizes = rng.integers(1, 2**16 // levels + 1, size=draw(st.integers(1, 4)))
+    counts = rng.choice(sizes, size=levels).astype(np.float64)
+    return values, counts, np.zeros(levels), np.diag(counts)
+
+
+@given(ward_inputs())
+@settings(repeatable, max_examples=20)
+def test_ward_merge_matches_reference(case):
+    assert_merge_matches_reference(*case)

@@ -341,12 +341,28 @@ class TestGreedyMerge:
             calls.update(dict.fromkeys(calls, 0))
             _greedy_merge(values, counts.astype(np.float64), dots.copy(), gram.copy())
             assert calls == {"_pair_costs": k - 1, "_costs_with": 0}
-            # a 1-D diagonal (Ward on these counts) computes them once, then
-            # one cluster's per step
+            # a 1-D diagonal (Ward on these counts) builds its cost matrix
+            # in place, then updates one cluster's costs per step
             calls.update(dict.fromkeys(calls, 0))
             n = counts.astype(np.float64)
             _greedy_merge(values, n, np.zeros(k), n.copy())
-            assert calls == {"_pair_costs": 1, "_costs_with": k - 1}
+            assert calls == {"_pair_costs": 0, "_costs_with": k - 1}
+
+    def test_workload_scale(self):
+        """Up to 256 levels with the counts of a 256 x 256 image, tied in
+        bulk: 255 merges, through every compaction of the stored costs."""
+        rng = np.random.default_rng(25)
+        pixels = 256 * 256
+        synthetic = level_partition(make_synthetic(256))
+        cases = [
+            (np.arange(256), np.full(256, 256)),  # every count tied
+            (np.arange(256), rng.multinomial(pixels, np.full(256, 1 / 256))),
+            (np.arange(256), rng.choice([128, 256, 512], 256)),
+            (np.sort(rng.choice(256, 200, replace=False)), rng.choice([1, 327], 200)),
+            (synthetic.values, synthetic.counts),
+        ]
+        for values, counts in cases:
+            assert_merge_matches_reference(*diagonal_case(values, counts))
 
     def test_one_and_two_clusters(self):
         rng = np.random.default_rng(24)
@@ -429,7 +445,7 @@ class TestSparsificationQuantPath:
         calls = count_cost_calls(monkeypatch)
         path = sparsification_quant_path(img, Mask.full(img.size))
         assert path == ward
-        assert calls == {"_pair_costs": 1, "_costs_with": len(ward)}
+        assert calls == {"_pair_costs": 0, "_costs_with": len(ward)}
 
     def test_single_value_empty_path(self):
         img = Image(3, 1, [4, 4, 4])

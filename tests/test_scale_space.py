@@ -18,7 +18,7 @@ from qss import (
 from qss.quantisation import sparsification_quant_path
 from qss.scale_space import report_csv
 
-from conftest import random_image, random_mask
+from conftest import make_synthetic, random_image, random_mask
 
 
 def ward_of(img, mask=None):
@@ -264,7 +264,8 @@ def test_report_csv_equals_image_oracle(masked):
     """The histogram walk gives the report of the generated images exactly,
     through every kind of step: between two absent values, with one source
     absent, onto a value distinct from both sources, and on a one-level
-    domain, at grey depths 256 and below."""
+    domain, at grey depths 256 and below, and where every grey value
+    occurs."""
     rng = np.random.default_rng(7)
     images = [random_image(rng, max_side=12, full_hull=full_hull)
               for full_hull in (True, False) for _ in range(6)]
@@ -272,6 +273,8 @@ def test_report_csv_equals_image_oracle(masked):
         Image(8, 2, np.resize([0, 7, 200, 255], 16)),  # four of 256 levels
         Image(5, 3, np.resize([0, 3, 3, 9, 15], 15), grey_depth=16),
         Image(3, 3, np.full(9, 5), grey_depth=8),  # one level
+        Image.from_grid(np.arange(4096).reshape(64, 64) % 256),  # all 256 levels
+        make_synthetic(64),
     ]
     kinds = set()
     for img in images:
