@@ -17,9 +17,7 @@ import numpy as np
 
 from .image import DomainError, Image, _domain, _histogram, entropy
 from .inpainting import _BLOCK_COLUMNS, InpaintSolver, _round_grey
-from .quantisation import (
-    _level_basis, _quant_path, _quantised_known_values, _value_map, build_quant_path,
-)
+from .quantisation import _level_basis, _quant_path, _value_map, build_quant_path
 from .scale_space import _walk
 from .sparsification import SparsificationPath
 
@@ -120,20 +118,21 @@ def evaluate_grid(
     path from that state through the dispatch of `build_quant_path` (the
     sparsification method from the basis of m = 0 on a mask with unknowns,
     and as Ward's path on the full mask, where it needs no basis), and
-    each l is one walk of each path, m = 0 ... len(path): the
-    known values at m are those at m - 1 after one merge step, and each m
-    adds its cost point. At the first affordable m (m = 0 without a
-    budget) the reconstruction is sum_c c psi_c, from the shared basis of
-    m = 0 or, for m > 0, from a block solve of that scale's clusters
-    through the same factorisation. From there each merge step
-    (a, b -> r) adds (r - a) psi_a + (r - b) psi_b and sets
-    psi_r = psi_a + psi_b. Affordable reconstructions are scored
-    `_BLOCK_COLUMNS` at a time: each block passes `InpaintSolver.check`,
-    as a solve does, then is rounded to grey values and scored in place
-    (`_score`); no `Image` is built per point. The full mask is neither
-    factorised nor solved: its reconstruction at scale m is the quantised
-    image, and its points come from the histogram walk of `report_csv`
-    (`_full_mask_points`).
+    each l is one walk of each path, m = 0 ... len(path), in `_walk_path`:
+    the histogram walk `_walk` of `report_csv` gives each m's rate, the
+    entropy of the known values at m, and one lookup table, continued by
+    each merge step, gives those values where they are needed. At the
+    first affordable m (m = 0 without a budget) the reconstruction is
+    sum_c c psi_c, from the shared basis of m = 0 or, for m > 0, from a
+    block solve of that scale's clusters through the same factorisation.
+    From there each merge step (a, b -> r) adds (r - a) psi_a +
+    (r - b) psi_b and sets psi_r = psi_a + psi_b. Affordable
+    reconstructions are scored `_BLOCK_COLUMNS` at a time: each block
+    passes `InpaintSolver.check`, as a solve does, then is rounded to grey
+    values and scored in place (`_score`); no `Image` is built per point.
+    The full mask is neither factorised nor solved: its reconstruction at
+    scale m is the quantised image, whose MSE is the walk's exact squared
+    error over N.
     """
     if not budget > 0:  # an input error, not an infeasible one
         raise ValueError("budget must be positive")
@@ -149,80 +148,69 @@ def _evaluate_mask(image, mask, l, points, budget, on_reconstruction):
     The state of the mask is local, so it is freed before the next mask
     is factorised. The basis of m = 0 is walked in place by the last
     method and copied for the others. A full mask builds neither a solver
-    nor a basis (see `_full_mask_points`).
+    nor a basis.
     """
     known = _domain(image, mask)
     part = _histogram(known)
-    if part.domain_size == image.size:
-        for method, method_points in points.items():
-            path = _quant_path(image, part, method, None)  # an unknown method raises
-            method_points += _full_mask_points(image, part, path, method, budget,
-                                               on_reconstruction)
-        return
-    solver = InpaintSolver(mask, image.width, image.height)
+    solver = None
+    if part.domain_size < image.size:
+        solver = InpaintSolver(mask, image.width, image.height)
     shared = functools.cache(lambda: _level_basis(solver, known, part.values))
     last = list(points)[-1]
     for method, method_points in points.items():
         path = _quant_path(image, part, method, shared)  # an unknown method raises
         zero_basis = shared if method == last else lambda: shared().copy()
-        method_points += _walk_path(image, l, known, solver, path, method, zero_basis,
+        method_points += _walk_path(image, l, part, known, solver, path, method, zero_basis,
                                     budget, on_reconstruction)
 
 
-def _full_mask_points(image, part, path, method, budget, on_reconstruction):
-    """The points of one method at l = 0, in ascending m.
+def _walk_path(image, l, part, known, solver, path, method, zero_basis, budget,
+               on_reconstruction):
+    """The points of one method at mask scale l, in ascending m, from one
+    walk of its path; `zero_basis()` gives a basis of m = 0 to consume.
 
-    A full mask's reconstruction at scale m is the quantised image itself,
-    so the histogram walk of `report_csv` gives each point at once: the
-    entropy of f^m, bit-identical to that of its histogram, is the
-    per-value rate, and its exact squared error over N the MSE, as
-    `_score` finds it. Only an affordable point's grey values are read,
-    through the lookup table of its scale, and only for a callback.
+    `_walk` of the histogram `part` of the known values gives each
+    scale's per-value rate, bit-identical to `coding_cost`'s, and one
+    lookup table, continued by each step, gives the known values of a
+    scale that is solved or scored. Without a solver (the full mask) the
+    reconstruction at scale m is the quantised image: its MSE is the
+    walk's exact squared error over N, as `_score` finds it, and its grey
+    values are read through the table only for a callback.
     """
     levels = len(path.initial_values)
     lut = _value_map((), image.grey_depth)
-    points = []
-    for m, ((*_, bits), err) in enumerate(_walk(part, path, image.grey_depth)):
-        if m:
-            _value_map(path.steps[m - 1 : m], image.grey_depth, lut)
-        cost = _cost_model(bits, image.size, levels - m, method)
-        point = RateDistortionPoint(0, m, levels - m, math.nan,
-                                    8.0 * image.size / cost.total_bits, cost)
-        if cost.total_bits < budget:
-            point = replace(point, mse=err / image.size)
-            if on_reconstruction is not None:
-                on_reconstruction(point, lut[image.pixels])
-        points.append(point)
-    return points
-
-
-def _walk_path(image, l, known, solver, path, method, zero_basis, budget, on_reconstruction):
-    """The points of one method at mask scale l, in ascending m, from one
-    walk of its path; `zero_basis()` gives a basis of m = 0 to consume."""
-    levels = len(path.initial_values)
     superposed, points, block = None, [], []
     data = np.empty((_BLOCK_COLUMNS, len(known)))
     recs = np.empty((_BLOCK_COLUMNS, image.size))
-    for m, g in enumerate(_quantised_known_values(known, path, image.grey_depth)):
-        cost = coding_cost(g, levels - m, method)
+    for m, ((*_, bits), err) in enumerate(_walk(part, path, image.grey_depth)):
+        if m:
+            _value_map(path.steps[m - 1 : m], image.grey_depth, lut)
+        cost = _cost_model(bits, len(known), levels - m, method)
         ratio = 8.0 * image.size / cost.total_bits
         points.append(RateDistortionPoint(l, m, levels - m, math.nan, ratio, cost))
         affordable = cost.total_bits < budget
+        if solver is None:
+            if affordable:
+                points[m] = replace(points[m], mse=err / image.size)
+                if on_reconstruction is not None:
+                    on_reconstruction(points[m], lut[image.pixels])
+            continue
         if superposed is None:  # no scale affordable yet
             if not affordable:
                 continue
+            g = lut[known]
             clusters = np.unique(g)
             basis = _level_basis(solver, g, clusters) if m else zero_basis()
             superposed = _superpositions(clusters, basis, path.steps[m:])
         rec = next(superposed)
         if affordable:  # block holds the scale m of each row of data and recs
-            data[len(block)], recs[len(block)] = g, rec
+            data[len(block)], recs[len(block)] = lut[known], rec
             block.append(m)
         if block and (len(block) == _BLOCK_COLUMNS or m == len(path)):
             solver.check(data[: len(block)], recs[: len(block)])
             greys, errors = _score(image, recs[: len(block)])
-            for k, grey, err in zip(block, greys, errors):
-                points[k] = replace(points[k], mse=float(err))
+            for k, grey, error in zip(block, greys, errors):
+                points[k] = replace(points[k], mse=float(error))
                 if on_reconstruction is not None:
                     on_reconstruction(points[k], grey)
             block = []

@@ -149,34 +149,34 @@ def uniform_path(grey_depth: int = 256) -> QuantisationPath:
     return QuantisationPath(tuple(range(q)), tuple(steps))
 
 
-def _move_cost(c, dots, gram_diag):
-    """Error change of moving clusters with psi . res = `dots` and
-    psi . psi = `gram_diag` by c grey values."""
-    return -2.0 * c * dots + c * c * gram_diag
-
-
-def _pair_costs(v, n, dots, g):
-    """Error change of each merge i < j of the given clusters; inf elsewhere.
+def _pair_costs(c, n, e, g, out):
+    """Error change of each merge i < j of the stored clusters, c[i, j]
+    being v_i - v_j, into `out`; inf on and below the diagonal.
 
     A merge keeps the member with the larger count (the smaller value on
-    ties, v being ascending) and moves the other onto it.
+    ties, v being ascending) and moves the other onto it: moving j onto
+    v_i changes the error by c e_j + c^2 g_j (see `_greedy_merge`).
     """
-    rep_low = n[:, None] >= n[None, :]
-    c = (v[:, None] - v[None, :]).astype(np.float64)
-    move = _move_cost(c, dots[None, :], g[None, :])  # move j onto v_i
-    delta = np.where(rep_low, move, move.T)
-    delta[np.tri(v.size, dtype=bool)] = np.inf  # only pairs i < j
-    return delta
+    move = c * e
+    with np.errstate(invalid="ignore"):  # 0 * inf on a dead diagonal, masked below
+        np.multiply(c, c, out=out)
+        out *= g
+        move += out
+    np.copyto(out, move)
+    np.copyto(out, move.T, where=n > n[:, None])  # move i onto v_j
+    np.copyto(out, np.inf, where=c >= 0)  # on and below the diagonal
+    return out
 
 
 def _costs_with(k, v, n, e, g):
-    """Error change of the merge of cluster k with each stored cluster, by
-    index, in the diagonal merge's terms (see `_diagonal_merge`).
+    """`_pair_costs` of the merge of cluster k with each stored cluster, by
+    index, for a diagonal Gram g.
 
     Moving cluster j onto v_k, c = v_k - v_j, changes the error by
     c (c g_j + e_j); where j is kept instead (a larger count, or the same
     count and a smaller value), moving k onto v_j changes it by
-    c (c g_k - e_k).
+    c (c g_k - e_k). Every term is an exact integer (see `_greedy_merge`),
+    so the order of evaluation does not change the bits.
     """
     k_moves = n > n[k]
     k_moves[:k] = n[:k] >= n[k]  # ties keep the smaller value
@@ -188,6 +188,11 @@ def _costs_with(k, v, n, e, g):
     return cost
 
 
+# the merge loop drops the dead clusters from its stored matrices once
+# 1 / _COMPACT_AT of their rows are dead
+_COMPACT_AT = 4
+
+
 def _greedy_merge(values, counts, dots, gram):
     """Merge steps that greedily minimise the squared reconstruction error.
 
@@ -195,87 +200,40 @@ def _greedy_merge(values, counts, dots, gram):
     n_k = `counts[k]` and basis function psi_k; the reconstruction is
     sum_k v_k psi_k. `gram` is psi psi^T, or a 1-D array of its diagonal
     when the matrix is diagonal, and `dots` is psi . res, res being the
-    original minus the reconstruction; the loop consumes both.
-    Moving cluster j onto v_i changes the error by
-    move[i, j] = -2c (psi_j . res) + c^2 (psi_j . psi_j), c = v_i - v_j.
+    original minus the reconstruction; the loop consumes both. With
+    e = -2 psi . res, moving cluster j onto v_i changes the error by
+    c e_j + c^2 (psi_j . psi_j), c = v_i - v_j: the bits of
+    -2c (psi_j . res) + c^2 (psi_j . psi_j), as scaling by 2 is exact.
     A merge of i < j keeps the member with the larger count (the smaller
     value on ties) and moves the other; each step takes the pair with the
     smallest change, the first in row-major order on ties.
 
-    The shape of `gram` picks the loop. Given the matrix (the dense Gram
-    of a mask with unknowns), a merge adds the dropped cluster's row and
-    column to the kept one's and zeroes them, and each step recomputes
-    every surviving pair's cost from the vectors, in O(levels^2). Given
-    the diagonal alone, which only `ward_path` passes (it is also the
-    sparsification path of a full mask), `_diagonal_merge` updates the
-    costs of the kept cluster only, in exact integers for images under
-    4.6e10 pixels, over a stored cost matrix that drops its dead rows and
-    columns whenever a quarter of them have died.
+    The loop stores the pair costs of the stored clusters, inf on and
+    below the diagonal, and takes each step's pair by one argmin over
+    them. A merge adds the dropped cluster's Gram row and column to the
+    kept one's and marks the dropped cluster dead, count -inf and Gram
+    inf, so that its costs come out inf. Once a quarter of the stored
+    rows are dead, the live rows and columns are kept, in ascending
+    order, so row-major order and the pair each step picks stay the same.
+
+    The shape of `gram` sets the update of the costs after a merge. A
+    dense Gram (a mask with unknowns) changes every cost, and
+    `_pair_costs` rebuilds all of them in place, O(stored^2). A diagonal
+    Gram, which only `ward_path` passes (it is also the sparsification
+    path of a full mask), changes the costs of the kept cluster only,
+    and `_costs_with` rewrites its row and column, O(stored). Its data
+    are a full mask's, integer counts n = g and a zero residual, so every
+    cost is an integer; with values spanning D grey levels on N pixels
+    none exceeds 3 D^2 N in magnitude, below 2^53 up to N = 4.6e10 at
+    D = 255, so both give the same exact costs under any evaluation order.
     """
-    v = np.asarray(values, dtype=np.int64)
+    v = np.asarray(values, dtype=np.float64)
     n = np.array(counts, dtype=np.float64)
-    if gram.ndim == 1:
-        return _diagonal_merge(v, n, dots, gram)
-    g = gram.diagonal().copy()
-    alive = np.ones(v.size, dtype=bool)
-    steps = []
-    for _ in range(v.size - 1):
-        live = np.flatnonzero(alive)
-        delta = _pair_costs(v[live], n[live], dots[live], g[live])
-        i, j = (int(live[k]) for k in divmod(int(np.argmin(delta)), live.size))
-        keep, drop = (i, j) if n[i] >= n[j] else (j, i)
-        r = int(v[keep])
-        steps.append(MergeStep(int(v[i]), int(v[j]), r))
-        # res -= (r - v_drop) psi_drop, then psi_keep += psi_drop
-        dots -= float(r - v[drop]) * gram[:, drop]
-        gram[keep] += gram[drop]
-        gram[:, keep] += gram[:, drop]
-        gram[drop] = gram[:, drop] = 0.0
-        g[keep] = gram[keep, keep]
-        dots[keep] += dots[drop]
-        n[keep] += n[drop]
-        alive[drop] = False
-    return tuple(steps)
-
-
-# the diagonal merge drops the dead clusters from its cost matrix once
-# 1 / _COMPACT_AT of the matrix's rows are dead
-_COMPACT_AT = 4
-
-
-def _diagonal_merge(v, n, dots, g):
-    """`_greedy_merge` of a diagonal Gram g, in exact integers over the
-    live clusters.
-
-    It is only given a full mask's data: integer counts n = g and a zero
-    residual, so every count, psi . res and pair cost is an integer. With
-    values spanning D grey levels on N pixels no cost exceeds 3 D^2 N in
-    magnitude, which stays below 2^53 up to N = 4.6e10 at D = 255: every
-    product and sum is then exact under any evaluation order, so the costs,
-    their order and their ties are those of `_pair_costs`. The loop keeps
-    e = -2 psi . res in place of `dots`.
-
-    A merge changes the costs of the kept cluster only. The loop stores the
-    pair costs of the stored clusters, inf on and below the diagonal,
-    takes each step's pair by one argmin over the matrix, whose first
-    minimum is the first in row-major order, and rewrites the kept
-    cluster's row and column by `_costs_with`: O(levels) of arithmetic
-    and one O(stored^2) argmin per step. A dead cluster gets count -inf,
-    Gram inf and e = 0, so its costs come out inf until the matrix drops
-    it: once a quarter of the stored rows are dead, the live rows and
-    columns are kept, in ascending order, so row-major order and the pair
-    it picks stay the same.
-    """
-    v = v.astype(np.float64)
     e = -2.0 * dots
-    # move[i, j] moves j onto v_i, the merge i < j moves j unless n_j > n_i
-    cost = v[:, None] - v
-    move = cost * g
-    move += e
-    move *= cost
-    np.copyto(cost, move)
-    np.copyto(cost, move.T, where=n > n[:, None])
-    np.copyto(cost, np.inf, where=np.tri(v.size, dtype=bool))
+    dense = gram.ndim == 2
+    g = gram.diagonal().copy() if dense else gram
+    c = v[:, None] - v
+    cost = _pair_costs(c, n, e, g, np.empty_like(c))
     dead = 0
     steps = []
     for _ in range(v.size - 1):
@@ -284,10 +242,17 @@ def _diagonal_merge(v, n, dots, g):
         r = v[keep]
         steps.append(MergeStep(int(v[i]), int(v[j]), int(r)))
         # res -= (r - v_drop) psi_drop, then psi_keep += psi_drop
-        e[keep] += e[drop] + 2.0 * (r - v[drop]) * g[drop]
-        g[keep] += g[drop]
+        if dense:
+            e += 2.0 * (r - v[drop]) * gram[:, drop]
+            e[keep] += e[drop]
+            gram[keep] += gram[drop]
+            gram[:, keep] += gram[:, drop]
+            g[keep] = gram[keep, keep]
+        else:
+            e[keep] += e[drop] + 2.0 * (r - v[drop]) * g[drop]
+            g[keep] += g[drop]
         n[keep] += n[drop]
-        n[drop], g[drop], e[drop] = -np.inf, np.inf, 0.0
+        n[drop], g[drop] = -np.inf, np.inf
         cost[drop] = cost[:, drop] = np.inf
         dead += 1
         if _COMPACT_AT * dead >= v.size:
@@ -295,10 +260,16 @@ def _diagonal_merge(v, n, dots, g):
             keep = int(np.searchsorted(live, keep))
             v, n, e, g = v[live], n[live], e[live], g[live]
             cost = cost[np.ix_(live, live)]
+            if dense:
+                gram = gram[np.ix_(live, live)]
+                c = v[:, None] - v
             dead = 0
-        new = _costs_with(keep, v, n, e, g)
-        cost[keep, keep + 1:] = new[keep + 1:]
-        cost[:keep, keep] = new[:keep]
+        if dense:
+            _pair_costs(c, n, e, g, cost)
+        else:
+            new = _costs_with(keep, v, n, e, g)
+            cost[keep, keep + 1:] = new[keep + 1:]
+            cost[:keep, keep] = new[:keep]
     return tuple(steps)
 
 
@@ -317,7 +288,7 @@ def ward_path(partition: LevelPartition) -> QuantisationPath:
     on the order of evaluation. A step rewrites the kept cluster's
     O(levels) pair costs and takes one argmin over the stored cost
     matrix, which drops its dead rows and columns whenever a quarter of
-    them have died (see `_diagonal_merge`).
+    them have died (see `_greedy_merge`).
     """
     if partition.values.size == 0:
         raise DomainError("empty partition")
@@ -336,10 +307,11 @@ def sparsification_quant_path(image: Image, mask: Mask | None) -> QuantisationPa
     of the level indicators; a candidate is then a rank-one update of the
     residual. The merge loop needs only the Gram matrix of the basis
     functions and their inner products with the residual: forming them
-    reads the image, O(levels^2 N) for N pixels, but a step does not, and
-    recomputes all O(levels^2) pair costs. On a full mask the basis
-    functions are the level-set indicators, so this is Ward clustering,
-    step for step: the path is `ward_path`'s, built without a solver.
+    reads the image, O(levels^2 N) for N pixels, but a step does not: it
+    rebuilds the O(levels^2) pair costs of the clusters `_greedy_merge`
+    stores, in place. On a full mask the basis functions are the
+    level-set indicators, so this is Ward clustering, step for step: the
+    path is `ward_path`'s, built without a solver.
     This is `build_quant_path(image, mask, "sparsification")`, and a
     `None` mask raises DomainError. `evaluate_grid` builds the same path
     through the same dispatch, from the basis of m = 0 it shares with

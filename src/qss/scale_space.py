@@ -138,6 +138,10 @@ def _walk(part: LevelPartition, path: QuantisationPath, grey_depth: int):
     scale's entropy sums the summands of its occurring values in ascending
     value order, as `entropy` sums those of a histogram: each summand and
     so each entropy is bit-identical to `entropy(level_partition(f^m))`.
+
+    It serves `report_csv` and every point of `evaluate_grid`, whose rate
+    at scale m is this entropy of the known values and, on the full mask,
+    whose MSE is this squared error over N.
     """
     n = np.zeros(grey_depth, dtype=np.int64)
     n[part.values] = part.counts

@@ -323,24 +323,22 @@ def test_sparsification_factorises_each_mask_once(synthetic_grid, monkeypatch, t
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("target", [None, 20])
 def test_one_walk_of_the_path_per_mask(synthetic_grid, monkeypatch, method, target):
-    """Costs, superpositions and scores of every m come from a single pass
-    over the quantised known values of each mask with unknowns, and from
-    one histogram walk on the full mask."""
+    """Every rate of each mask comes from one histogram walk of its path
+    over the known values, none from `coding_cost`."""
     img, spath, l_grid = synthetic_grid
     budget = math.inf if target is None else 8.0 * img.size / target
     walks = []
-    walk, histogram_walk = compression._quantised_known_values, compression._walk
+    walk = compression._walk
 
-    def counting(values, path, grey_depth):
-        walks.append(len(values))
-        return walk(values, path, grey_depth)
-
-    def counting_histogram(part, path, grey_depth):
+    def counting(part, path, grey_depth):
         walks.append(part.domain_size)
-        return histogram_walk(part, path, grey_depth)
+        return walk(part, path, grey_depth)
 
-    monkeypatch.setattr(compression, "_quantised_known_values", counting)
-    monkeypatch.setattr(compression, "_walk", counting_histogram)
+    def no_coding_cost(*args):
+        raise AssertionError("coding_cost called by the grid")
+
+    monkeypatch.setattr(compression, "_walk", counting)
+    monkeypatch.setattr(compression, "coding_cost", no_coding_cost)
     points = evaluate_grid(img, spath, (method,), l_grid, budget)[method]
     assert walks == [img.size - l for l in l_grid]
     assert any(not math.isnan(p.mse) for p in points)

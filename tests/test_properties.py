@@ -1,9 +1,11 @@
-"""Property tests of the three file parsers and of the greedy merge loop.
+"""Property tests of the three file parsers, of the greedy merge loop and
+of the histogram walk.
 
 The parsers read input from outside the program, so the only exception a
 parser may raise is its own: `PgmError` for PGM bytes, `ValueError` for
 `QSSPATH` and `QSSQPATH` text; valid files round-trip. The merge loop gives
-the steps of a reference that recomputes every cost at every step. Examples
+the steps of a reference that recomputes every cost at every step. The
+histogram walk gives the rate `coding_cost` finds at every scale. Examples
 are derandomised so that a run is repeatable.
 """
 
@@ -11,13 +13,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qss import Image, PgmError, read_pgm, write_pgm
+from qss import Image, Mask, PgmError, level_partition, read_pgm, write_pgm
+from qss.compression import METHODS, coding_cost
 from qss.quantisation import (
     MergeStep,
     QuantisationPath,
+    _quantised_known_values,
+    build_quant_path,
     read_quant_path_file,
     write_quant_path_file,
 )
+from qss.scale_space import _walk
 from qss.sparsification import SparsificationPath, read_path_file, write_path_file
 from test_quantisation import assert_merge_matches_reference
 
@@ -213,3 +219,37 @@ def ward_inputs(draw):
 @settings(repeatable, max_examples=20)
 def test_ward_merge_matches_reference(case):
     assert_merge_matches_reference(*case)
+
+
+@st.composite
+def walk_inputs(draw):
+    """An image of a few grey values, so that the uniform path has steps
+    between absent values, and a mask of it: full, or random with at least
+    one known pixel."""
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    size = width * height
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.choice(256, size=draw(st.integers(1, 12)), replace=False)
+    image = Image(width, height, rng.choice(values, size=size))
+    if draw(st.booleans()):
+        return image, Mask.full(size)
+    known = rng.choice(size, size=draw(st.integers(1, size)), replace=False)
+    return image, Mask(np.sort(known), size)
+
+
+@given(walk_inputs())
+@settings(repeatable, max_examples=60)
+def test_walk_entropy_is_the_coding_rate(case):
+    """Every entropy `_walk` yields along each method's path equals, bit
+    for bit, the per-value rate `coding_cost` finds for the known values
+    at that scale: the rate-distortion grid reads its rates from the walk."""
+    image, mask = case
+    known = image.pixels[mask.indices]
+    part = level_partition(image, mask)
+    for method in METHODS:
+        path = build_quant_path(image, mask, method)
+        levels = len(path.initial_values)
+        scales = zip(_walk(part, path, image.grey_depth),
+                     _quantised_known_values(known, path, image.grey_depth))
+        for m, (((*_, bits), _), values) in enumerate(scales):
+            assert bits == coding_cost(values, levels - m, method).per_value_bits

@@ -337,16 +337,17 @@ class TestGreedyMerge:
                 _, _, dots[block], gram[block, block] = dense_case(
                     rng, values[block], counts[block])
             assert_merge_matches_reference(values, counts, dots, gram)
-            # the 2-D Gram recomputes every pair's cost at each step
+            # the 2-D Gram builds the stored costs, then rebuilds every
+            # pair's cost at each step
             calls.update(dict.fromkeys(calls, 0))
             _greedy_merge(values, counts.astype(np.float64), dots.copy(), gram.copy())
-            assert calls == {"_pair_costs": k - 1, "_costs_with": 0}
-            # a 1-D diagonal (Ward on these counts) builds its cost matrix
-            # in place, then updates one cluster's costs per step
+            assert calls == {"_pair_costs": k, "_costs_with": 0}
+            # a 1-D diagonal (Ward on these counts) builds the stored costs,
+            # then updates one cluster's costs per step
             calls.update(dict.fromkeys(calls, 0))
             n = counts.astype(np.float64)
             _greedy_merge(values, n, np.zeros(k), n.copy())
-            assert calls == {"_pair_costs": 0, "_costs_with": k - 1}
+            assert calls == {"_pair_costs": 1, "_costs_with": k - 1}
 
     def test_workload_scale(self):
         """Up to 256 levels with the counts of a 256 x 256 image, tied in
@@ -363,6 +364,19 @@ class TestGreedyMerge:
         ]
         for values, counts in cases:
             assert_merge_matches_reference(*diagonal_case(values, counts))
+
+    def test_dense_workload_scale(self):
+        """Dense Grams of 200 to 256 levels, tied counts among them: each
+        step rebuilds the stored costs, dead rows included, through every
+        compaction."""
+        rng = np.random.default_rng(26)
+        cases = [
+            (np.arange(256), np.full(256, 16)),
+            (np.arange(256), rng.multinomial(256 * 256, np.full(256, 1 / 256))),
+            (np.sort(rng.choice(256, 200, replace=False)), rng.choice([1, 327], 200)),
+        ]
+        for values, counts in cases:
+            assert_merge_matches_reference(*dense_case(rng, values, counts, pixels=256))
 
     def test_one_and_two_clusters(self):
         rng = np.random.default_rng(24)
@@ -445,7 +459,7 @@ class TestSparsificationQuantPath:
         calls = count_cost_calls(monkeypatch)
         path = sparsification_quant_path(img, Mask.full(img.size))
         assert path == ward
-        assert calls == {"_pair_costs": 0, "_costs_with": len(ward)}
+        assert calls == {"_pair_costs": 1, "_costs_with": len(ward)}
 
     def test_single_value_empty_path(self):
         img = Image(3, 1, [4, 4, 4])
