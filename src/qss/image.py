@@ -7,7 +7,7 @@ entropies are in bits (log base 2 throughout).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,8 +16,18 @@ class DomainError(ValueError):
     """Empty or mismatched pixel domain."""
 
 
+def _is_integer(value) -> bool:
+    """The one test of a scalar integer, for the sizes of the value types
+    and for grey values: a Python int or a numpy integer. A bool, whose
+    type is a subclass of int, is no size or grey value, and a float would
+    truncate. Checked per merge step, so the common Python int takes one
+    type comparison. A Python int beyond int64 passes as it is (see
+    `_integers` for why scalars do not go through it)."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def _integers(values, what: str) -> np.ndarray:
-    """The one conversion of integer input for `Image`, `Mask`,
+    """The one conversion of integer arrays for `Image`, `Mask`,
     `LevelPartition` and `SparsificationPath`: a flat, read-only int64
     copy of `values` that the value type owns. No later write to the
     caller's array reaches it, and the caller's array stays writeable.
@@ -25,6 +35,8 @@ def _integers(values, what: str) -> np.ndarray:
     A non-empty float or bool array raises ValueError naming `what`:
     floats would truncate, and bools would read as 0/1. An empty array
     holds no values whatever its dtype (`np.asarray([])` is float64).
+    Scalar sizes take `_is_integer` instead: a Python int beyond int64
+    would become an object array here.
     """
     flat = np.ravel(values)
     if flat.size and flat.dtype.kind not in "iu":
@@ -34,9 +46,24 @@ def _integers(values, what: str) -> np.ndarray:
     return owned
 
 
-@dataclass(frozen=True)
+def __eq__(self, other):
+    """Value equality of `Image`, `Mask`, `LevelPartition` and
+    `SparsificationPath`: the same type and every field equal, arrays by
+    `np.array_equal`. Each class assigns it and is declared with
+    `eq=False`, so it gets no generated hash and `hash()` of it raises
+    TypeError naming the type."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
 class Image:
-    """Grey-value image on a w x h grid, values in [0, grey_depth - 1]."""
+    """Grey-value image on a w x h grid, values in [0, grey_depth - 1].
+
+    Width, height and grey depth are positive integers (`_is_integer`);
+    images are equal by value (`__eq__`) and not hashable.
+    """
 
     width: int
     height: int
@@ -44,10 +71,9 @@ class Image:
     grey_depth: int = 256
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image dimensions must be positive")
-        if self.grey_depth <= 0:
-            raise ValueError("grey depth must be positive")
+        sizes = (self.width, self.height, self.grey_depth)
+        if not all(map(_is_integer, sizes)) or min(sizes) <= 0:
+            raise ValueError("image width, height and grey depth must be positive integers")
         px = _integers(self.pixels, "pixel values")
         if px.size != self.width * self.height:
             raise ValueError(
@@ -76,25 +102,20 @@ class Image:
     def with_pixels(self, pixels) -> "Image":
         return Image(self.width, self.height, pixels, self.grey_depth)
 
-    def __eq__(self, other):
-        if not isinstance(other, Image):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and self.grey_depth == other.grey_depth
-            and np.array_equal(self.pixels, other.pixels)
-        )
+    __eq__ = __eq__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mask:
-    """Sorted set of known pixel indices within an image of `image_size` pixels."""
+    """Sorted set of known pixel indices within an image of `image_size`
+    pixels, an integer (`_is_integer`); equal by value, not hashable."""
 
     indices: np.ndarray
     image_size: int
 
     def __post_init__(self):
+        if not _is_integer(self.image_size):
+            raise ValueError("mask image size must be an integer, not %r" % (self.image_size,))
         idx = _integers(self.indices, "mask indices")
         if np.any(idx[1:] <= idx[:-1]):  # sort only what is not strictly increasing
             idx = _integers(np.unique(idx), "mask indices")  # sorted, duplicate-free
@@ -114,17 +135,13 @@ class Mask:
         arr[self.indices] = True
         return arr
 
-    def __eq__(self, other):
-        if not isinstance(other, Mask):
-            return NotImplemented
-        return self.image_size == other.image_size and np.array_equal(
-            self.indices, other.indices
-        )
+    __eq__ = __eq__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelPartition:
-    """Histogram of a pixel domain: occurring grey values and their counts."""
+    """Histogram of a pixel domain: occurring grey values and their counts;
+    equal by value, not hashable."""
 
     values: np.ndarray  # strictly increasing
     counts: np.ndarray  # pixels per value, all positive
@@ -145,6 +162,8 @@ class LevelPartition:
     @property
     def domain_size(self) -> int:
         return int(self.counts.sum())
+
+    __eq__ = __eq__
 
 
 def _domain(image: Image, mask: Mask | None) -> np.ndarray:

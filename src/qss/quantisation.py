@@ -17,20 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import DomainError, Image, LevelPartition, Mask, _domain, _with_domain, level_partition
+from .image import (
+    DomainError, Image, LevelPartition, Mask, _domain, _is_integer, _with_domain, level_partition,
+)
 from .inpainting import InpaintSolver
 
 
 class PathError(ValueError):
     """Structurally invalid quantisation path."""
-
-
-def _is_integer(value) -> bool:
-    """A Python int or a numpy integer. A bool, whose type is a subclass of
-    int, is no grey value, and a float would truncate in the int64 lookup
-    table of `_value_map`. Checked per merge step, so the common Python
-    int takes one type comparison."""
-    return type(value) is int or isinstance(value, np.integer)
 
 
 @dataclass(frozen=True)

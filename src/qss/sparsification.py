@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import Image, Mask, _domain, _integers
+from .image import Image, Mask, __eq__, _domain, _integers, _is_integer
 from .inpainting import InpaintSolver, _snap, inpaint
 
 # Border columns one kept factorisation serves before it is replaced by a
@@ -22,14 +22,20 @@ from .inpainting import InpaintSolver, _snap, inpaint
 _BORDER_COLUMNS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparsificationPath:
-    """Removal order of all N pixels; position l is removed going K^l -> K^{l+1}."""
+    """Removal order of all N pixels; position l is removed going K^l -> K^{l+1}.
+
+    N, the image size, is an integer (`image._is_integer`); paths are equal
+    by value (`image.__eq__`) and not hashable.
+    """
 
     removal_order: np.ndarray
     image_size: int
 
     def __post_init__(self):
+        if not _is_integer(self.image_size):
+            raise ValueError("path image size must be an integer, not %r" % (self.image_size,))
         order = _integers(self.removal_order, "removal order")
         # compare sizes first: a huge image_size from a file header must not
         # allocate np.arange(image_size)
@@ -41,9 +47,11 @@ class SparsificationPath:
 
     def mask_at(self, scale: int) -> Mask:
         """Mask K^scale with image_size - scale known pixels."""
-        if not 0 <= scale <= self.image_size - 1:
-            raise ValueError("scale %d out of [0, %d]" % (scale, self.image_size - 1))
+        if not (_is_integer(scale) and 0 <= scale <= self.image_size - 1):
+            raise ValueError("scale %r not an integer in [0, %d]" % (scale, self.image_size - 1))
         return Mask(self.removal_order[scale:], self.image_size)
+
+    __eq__ = __eq__
 
 
 def probabilistic_sparsify(

@@ -16,6 +16,7 @@ from qss import (
 from qss.compression import build_quant_path
 from qss.quantisation import apply_path, apply_steps, ward_path
 from qss.scale_space import generate, report_csv
+from qss.sparsification import SparsificationPath
 
 
 class TestImage:
@@ -258,6 +259,103 @@ class TestMse:
 def test_comparison_with_another_type_is_unequal(value, other):
     assert value.__eq__(other) is NotImplemented
     assert value != other and not value == other
+
+
+# The four value types, each with the fields of one value as lists, and
+# for each field that can change alone another valid value of that field.
+VALUE_TYPES = [
+    (Image, {"width": 3, "height": 1, "pixels": [4, 0, 9], "grey_depth": 16},
+     {"pixels": [4, 1, 9], "grey_depth": 10}),
+    (Mask, {"indices": [5, 0, 2], "image_size": 8}, {"indices": [5, 1, 2], "image_size": 6}),
+    (LevelPartition, {"values": [0, 4, 9], "counts": [1, 3, 2]},
+     {"values": [0, 4, 8], "counts": [1, 3, 1]}),
+    (SparsificationPath, {"removal_order": [2, 0, 1], "image_size": 3},
+     {"removal_order": [2, 1, 0]}),
+]
+_BY_TYPE = pytest.mark.parametrize(
+    "cls, fields", [case[:2] for case in VALUE_TYPES],
+    ids=[case[0].__name__ for case in VALUE_TYPES],
+)
+
+
+@_BY_TYPE
+@pytest.mark.parametrize("build", ["list", "int32"])
+def test_value_equals_its_rebuild(cls, fields, build):
+    value = cls(**fields)
+    if build == "int32":
+        fields = {k: np.array(v, dtype=np.int32) if isinstance(v, list) else v
+                  for k, v in fields.items()}
+    other = cls(**fields)
+    assert value == other and not value != other
+
+
+def test_mask_equals_its_rebuild_from_unsorted_duplicates():
+    assert Mask([5, 0, 2], 8) == Mask(np.array([2, 5, 0, 2, 5]), 8)
+
+
+@pytest.mark.parametrize(
+    "cls, fields, field, changed",
+    [(cls, fields, k, v) for cls, fields, others in VALUE_TYPES for k, v in others.items()],
+    ids=["%s-%s" % (cls.__name__, k) for cls, _, others in VALUE_TYPES for k in others],
+)
+def test_value_differs_in_one_field(cls, fields, field, changed):
+    value, other = cls(**fields), cls(**{**fields, field: changed})
+    assert value != other and not value == other
+
+
+@_BY_TYPE
+def test_value_is_unequal_to_other_objects(cls, fields):
+    value = cls(**fields)
+    others = [object()] + [c(**f) for c, f, _ in VALUE_TYPES if c is not cls]
+    for other in others:
+        assert value.__eq__(other) is NotImplemented
+        assert value != other and not value == other
+
+
+@_BY_TYPE
+def test_value_is_not_hashable(cls, fields):
+    with pytest.raises(TypeError, match="unhashable type: '%s'" % cls.__name__):
+        hash(cls(**fields))
+
+
+# Every scalar size field, in a one-pixel value whose size is 1.
+SIZE_FIELDS = [
+    (Image, {"width": 1, "height": 1, "pixels": [0], "grey_depth": 1}, field)
+    for field in ("width", "height", "grey_depth")
+] + [
+    (Mask, {"indices": [0], "image_size": 1}, "image_size"),
+    (SparsificationPath, {"removal_order": [0], "image_size": 1}, "image_size"),
+]
+_BY_SIZE_FIELD = pytest.mark.parametrize(
+    "cls, fields, field", SIZE_FIELDS,
+    ids=["%s-%s" % (cls.__name__, field) for cls, _, field in SIZE_FIELDS],
+)
+
+
+@_BY_SIZE_FIELD
+@pytest.mark.parametrize("size", [1.0, np.float64(1.0), True], ids=["float", "np.float64", "bool"])
+def test_size_must_be_an_integer(cls, fields, field, size):
+    # each of these equals 1, so no later check would catch it
+    with pytest.raises(ValueError, match="integer"):
+        cls(**{**fields, field: size})
+
+
+@_BY_SIZE_FIELD
+@pytest.mark.parametrize("size", [np.int32(1), np.uint8(1), np.int64(1)])
+def test_size_may_be_a_numpy_integer(cls, fields, field, size):
+    assert cls(**{**fields, field: size}) == cls(**fields)
+
+
+def test_mask_size_beyond_int64():
+    mask = Mask([0], 2**70)
+    assert len(mask) == 1 and mask.image_size == 2**70
+    assert mask == Mask([0], 2**70) and mask != Mask([0], 2**71)
+
+
+def test_zero_width_message():
+    message = "image width, height and grey depth must be positive integers"
+    with pytest.raises(ValueError, match=message):
+        Image(0, 2, [])
 
 
 def _ward_of(img):

@@ -129,6 +129,7 @@ def test_valid_path_file_round_trips(order):
     back = read_path_file(write_path_file(path))
     assert back.image_size == path.image_size
     assert np.array_equal(back.removal_order, path.removal_order)
+    assert back == path
 
 
 @given(

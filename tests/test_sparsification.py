@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,7 @@ def test_path_file_roundtrip():
     back = read_path_file(text)
     assert np.array_equal(back.removal_order, path.removal_order)
     assert back.image_size == path.image_size
+    assert back == path
 
 
 def test_path_file_errors():
@@ -161,15 +163,36 @@ def test_indices_outside_image_rejected(order):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, match",
     [
-        "QSSPATH v1 N=1000000000000000000\n0\n",  # sizes differ: no arange(N)
-        "QSSPATH v1 N=1\n99999999999999999999\n",  # index past int64
+        pytest.param(*case, id=case[0]) for case in [
+            # sizes differ: no arange(N)
+            ("QSSPATH v1 N=1000000000000000000\n0\n", "not a permutation"),
+            ("QSSPATH v1 N=1\n99999999999999999999\n", "malformed"),  # index past int64
+            ("QSSPATH v1 N=%d\n0\n" % 2**70, "not a permutation"),  # size past int64
+        ]
     ],
 )
-def test_path_file_with_huge_numbers_rejected(text):
-    with pytest.raises(ValueError):
+def test_path_file_with_huge_numbers_rejected(text, match):
+    with pytest.raises(ValueError, match=match):
         read_path_file(text)
+
+
+@pytest.mark.parametrize("scale", [True, 1.5, np.float64(1.0)])
+def test_mask_at_needs_an_integer_scale(scale):
+    path = SparsificationPath([2, 0, 1], 3)
+    message = r"^scale %s not an integer in \[0, 2\]$" % re.escape(repr(scale))
+    with pytest.raises(ValueError, match=message):
+        path.mask_at(scale)
+    assert path.mask_at(np.int64(1)) == Mask([0, 1], 3)
+
+
+def test_paths_are_equal_by_value():
+    img = small_image(7)
+    path = probabilistic_sparsify(img, seed=4)
+    assert path == probabilistic_sparsify(img, seed=4)
+    assert path != probabilistic_sparsify(img, seed=5)
+    assert path == SparsificationPath(path.removal_order.tolist(), np.int32(img.size))
 
 
 def reference_sparsify(image, candidate_fraction=0.02, keep_fraction=0.02,
